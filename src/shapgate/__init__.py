@@ -7,96 +7,4 @@ module runs the full cross-validated experiment; the cli module exposes it as
 a command-line tool.
 """
 
-from .attribution import (
-    Background,
-    ShapMatrix,
-    ShapVector,
-    exact_shapley_oracle,
-    make_background,
-    shap_matrix,
-    tree_shap,
-)
-from .dataset import (
-    SCHEMAS,
-    FeatureMatrix,
-    RawTable,
-    SplitSpec,
-    fit_transform,
-    handle_missing,
-    load_dataset,
-    resolve_data_path,
-    split_holdout,
-    stratified_kfold,
-)
-from .errors import (
-    DataError,
-    NumericalError,
-    ParseError,
-    ShapgateError,
-    TrainingDivergedError,
-    UsageError,
-)
-from .gbm import DecisionTree, GbmConfig, TreeEnsemble
-from .kernel_kmeans import ClusterModel, KernelSpec, assign, assign_batch, spec_from_label
-from .metrics import EvalReport, classification_metrics, evaluate, roc_auc
-from .network import NetBatch, NetConfig, NetParams, TrainResult
-from .pipeline import (
-    VARIANTS,
-    ExperimentConfig,
-    RunRecord,
-    emit_report,
-    run_experiment,
-    run_many,
-)
-from .synth import write_synthetic
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Background",
-    "ClusterModel",
-    "DataError",
-    "DecisionTree",
-    "EvalReport",
-    "ExperimentConfig",
-    "FeatureMatrix",
-    "GbmConfig",
-    "KernelSpec",
-    "NetBatch",
-    "NetConfig",
-    "NetParams",
-    "NumericalError",
-    "ParseError",
-    "RawTable",
-    "RunRecord",
-    "SCHEMAS",
-    "ShapMatrix",
-    "ShapVector",
-    "ShapgateError",
-    "SplitSpec",
-    "TrainResult",
-    "TrainingDivergedError",
-    "TreeEnsemble",
-    "UsageError",
-    "VARIANTS",
-    "assign",
-    "assign_batch",
-    "classification_metrics",
-    "emit_report",
-    "evaluate",
-    "exact_shapley_oracle",
-    "fit_transform",
-    "handle_missing",
-    "load_dataset",
-    "make_background",
-    "resolve_data_path",
-    "roc_auc",
-    "run_experiment",
-    "run_many",
-    "shap_matrix",
-    "spec_from_label",
-    "split_holdout",
-    "stratified_kfold",
-    "tree_shap",
-    "write_synthetic",
-]

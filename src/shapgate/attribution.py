@@ -32,12 +32,6 @@ ORACLE_MAX_FEATURES = 15
 
 
 @dataclass
-class ShapVector:
-    values: np.ndarray  # length p, margin units
-    base_value: float  # expected margin over the background
-
-
-@dataclass
 class ShapMatrix:
     values: np.ndarray  # (n, p), row-aligned with the source rows
     base_value: float
@@ -46,9 +40,6 @@ class ShapMatrix:
     @property
     def n_rows(self):
         return self.values.shape[0]
-
-    def row(self, i):
-        return ShapVector(values=self.values[i], base_value=self.base_value)
 
 
 @dataclass
@@ -134,27 +125,21 @@ def _accumulate_tree(phi, tree, Xf, Xb, scale):
         counts = np.bincount(sat_b @ pow2, minlength=1 << q)
         observed_z = np.flatnonzero(counts)
         unique_x, inverse = np.unique(xmask, return_inverse=True)
-        table = np.zeros((unique_x.size, q))
-        for g, xm in enumerate(unique_x):
-            xm = int(xm)
-            for zm in observed_z:
-                zm = int(zm)
-                dead = ~xm & ~zm & ((1 << q) - 1)
-                if dead:
-                    continue
-                am = xm & ~zm
-                bm = zm & ~xm
-                a = am.bit_count()
-                b = bm.bit_count()
-                if a == 0 and b == 0:
-                    continue
-                cnt = float(counts[zm])
-                for k in range(q):
-                    bit = 1 << k
-                    if am & bit:
-                        table[g, k] += cnt * _CP[a, b]
-                    elif bm & bit:
-                        table[g, k] -= cnt * _CM[a, b]
+        # (G, Z, q) masks over distinct x masks, observed z masks, path features
+        in_x = (unique_x[:, None, None] & pow2) != 0
+        in_z = (observed_z[None, :, None] & pow2) != 0
+        A = in_x & ~in_z
+        B = in_z & ~in_x
+        live = np.all(in_x | in_z, axis=2)
+        a = A.sum(axis=2)
+        b = B.sum(axis=2)
+        cnt = counts[observed_z].astype(np.float64)
+        plus = np.where(live, cnt * _CP[a, b], 0.0)[:, :, None]
+        minus = np.where(live, cnt * _CM[a, b], 0.0)[:, :, None]
+        terms = np.where(A, plus, 0.0) - np.where(B, minus, 0.0)
+        # sequential sum over z in ascending order; a pairwise .sum(axis=1)
+        # would round differently once there are 8 or more terms
+        table = np.cumsum(terms, axis=1)[:, -1]
         phi[:, feats] += (scale * value / n_b) * table[inverse]
 
 
@@ -170,7 +155,7 @@ def _check_inputs(ensemble, X, bg):
 
 
 def shap_matrix(ensemble, matrix, bg, rows=None):
-    """Interventional SHAP for the given rows; one ShapVector per row."""
+    """Interventional SHAP for the given rows, one attribution row per input row."""
     values = getattr(matrix, "values", matrix)
     feature_names = getattr(matrix, "feature_names", None)
     X = _check_inputs(ensemble, values, bg)
@@ -183,17 +168,11 @@ def shap_matrix(ensemble, matrix, bg, rows=None):
     return ShapMatrix(values=phi, base_value=base_value, feature_names=feature_names)
 
 
-def tree_shap(ensemble, x, bg):
-    """Interventional SHAP attributions for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"expected a feature vector, got shape {x.shape}")
-    sm = shap_matrix(ensemble, x[None, :], bg)
-    return ShapVector(values=sm.values[0], base_value=sm.base_value)
-
-
 def exact_shapley_oracle(ensemble, x, bg):
-    """Brute-force Shapley values over all 2^p coalitions. Testing aid."""
+    """Brute-force Shapley values over all 2^p coalitions, as a one-row ShapMatrix.
+
+    Testing aid: the reference the fast path is checked against.
+    """
     p = ensemble.n_features
     if p > ORACLE_MAX_FEATURES:
         raise DataError(f"exact oracle refuses p={p} > {ORACLE_MAX_FEATURES} features")
@@ -218,7 +197,7 @@ def exact_shapley_oracle(ensemble, x, bg):
     for i in range(p):
         without = np.flatnonzero(((masks >> i) & 1) == 0)
         phi[i] = np.sum(weight[sizes[without]] * (v[without | (1 << i)] - v[without]))
-    return ShapVector(values=phi, base_value=float(v[0]))
+    return ShapMatrix(values=phi[None, :], base_value=float(v[0]))
 
 
 def shap_matrix_to_csv(sm):

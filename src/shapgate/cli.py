@@ -226,11 +226,7 @@ def cmd_cluster(args):
         result = pipeline.run_cv_grid(prepared, core, config)
         spec, k = config.grid[result.best_index]
         print(f"selected kernel={spec.label()} k={k} by cross-validation")
-    model = kernel_kmeans.fit(
-        core.shap_train.values, k=k, spec=spec,
-        seed=pipeline.child_seed(config.master_seed, 5),
-    )
-    test_assignment = kernel_kmeans.assign_batch(model, core.shap_test.values)
+    model, test_assignment = pipeline.refit_clusters(core, spec, k, config.master_seed)
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, f"{config.dataset}_clusters.csv")
     lines = ["row,split,cluster"]

@@ -176,14 +176,6 @@ class FeatureMatrix:
     def feature_names(self):
         return [f"{src}" if tag == "scaled" else f"{src}={tag[6:]}" for src, tag in self.column_meta]
 
-    def to_csv(self, path):
-        """Debug dump with a header row built from column_meta."""
-        header = ",".join(self.feature_names + ["label"])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row, y in zip(self.values, self.labels):
-                fh.write(",".join(format(v, ".10g") for v in row) + f",{y}\n")
-
 
 @dataclass
 class SplitSpec:

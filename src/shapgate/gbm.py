@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 NEWTON_DENOM_FLOOR = 1e-12
 MIN_SPLIT_GAIN = 1e-12
@@ -26,7 +26,6 @@ class GbmConfig:
     learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -47,7 +46,6 @@ class DecisionTree:
     right: np.ndarray
     value: np.ndarray
     n_samples: np.ndarray
-    cover: np.ndarray
 
     @property
     def n_nodes(self):
@@ -111,7 +109,6 @@ class _TreeBuilder:
             right=np.asarray([nd["right"] for nd in self.nodes], dtype=np.int32),
             value=np.asarray([nd["value"] for nd in self.nodes], dtype=np.float64),
             n_samples=np.asarray([nd["n_samples"] for nd in self.nodes], dtype=np.int32),
-            cover=np.asarray([nd["cover"] for nd in self.nodes], dtype=np.float64),
         )
 
     def _leaf_value(self, rows):
@@ -127,7 +124,6 @@ class _TreeBuilder:
             "right": -1,
             "value": self._leaf_value(rows),
             "n_samples": rows.size,
-            "cover": float(self.hessian[rows].sum()),
         }
         self.nodes.append(node)
         if depth >= self.max_depth or rows.size < 2 * self.min_leaf or rows.size < 2:
@@ -210,22 +206,8 @@ def fit(X, y, config, record_loss=False):
     )
 
 
-def _check_vector(ensemble, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != ensemble.n_features:
-        raise DataError(f"expected a feature vector of length {ensemble.n_features}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("non-finite feature value")
-    return x
-
-
-def predict_margin(ensemble, x):
-    """Additive margin (log-odds) for one feature vector."""
-    x = _check_vector(ensemble, x)
-    return float(predict_margin_batch(ensemble, x[None, :])[0])
-
-
 def predict_margin_batch(ensemble, X):
+    """Additive margin (log-odds) for each row of X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise DataError(f"expected (n, {ensemble.n_features}) matrix, got shape {X.shape}")
@@ -234,76 +216,3 @@ def predict_margin_batch(ensemble, X):
         margins += ensemble.learning_rate * tree.predict(X)
     return margins
 
-
-def predict_proba(ensemble, x):
-    return float(_sigmoid(np.asarray(predict_margin(ensemble, x))))
-
-
-def predict_proba_batch(ensemble, X):
-    return _sigmoid(predict_margin_batch(ensemble, X))
-
-
-# -------------------------------------------------------- text serialization
-# One ensemble per file. Header lines, then one line per node:
-#   tree <t>
-#   <node_id> <feature> <threshold> <left> <right> <value> <n_samples> <cover>
-# feature -1 marks a leaf. Documented in README.md.
-
-def to_text(ensemble):
-    lines = [
-        f"base_margin {ensemble.base_margin!r}",
-        f"learning_rate {ensemble.learning_rate!r}",
-        f"n_features {ensemble.n_features}",
-        f"n_trees {ensemble.n_trees}",
-    ]
-    for t, tree in enumerate(ensemble.trees):
-        lines.append(f"tree {t}")
-        for i in range(tree.n_nodes):
-            lines.append(
-                f"{i} {tree.feature[i]} {float(tree.threshold[i])!r} {tree.left[i]} "
-                f"{tree.right[i]} {float(tree.value[i])!r} {tree.n_samples[i]} "
-                f"{float(tree.cover[i])!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        base_margin = float(lines[0].split()[1])
-        learning_rate = float(lines[1].split()[1])
-        n_features = int(lines[2].split()[1])
-        n_trees = int(lines[3].split()[1])
-    except (IndexError, ValueError) as e:
-        raise DataError(f"malformed ensemble header: {e}") from e
-    trees = []
-    pos = 4
-    for _ in range(n_trees):
-        if pos >= len(lines) or not lines[pos].startswith("tree "):
-            raise DataError("malformed ensemble body: missing tree marker")
-        pos += 1
-        rows = []
-        while pos < len(lines) and not lines[pos].startswith("tree "):
-            parts = lines[pos].split()
-            if len(parts) != 8:
-                raise DataError(f"malformed node line: {lines[pos]!r}")
-            rows.append(parts)
-            pos += 1
-        rows.sort(key=lambda pr: int(pr[0]))
-        trees.append(
-            DecisionTree(
-                feature=np.asarray([int(r[1]) for r in rows], dtype=np.int32),
-                threshold=np.asarray([float(r[2]) for r in rows], dtype=np.float64),
-                left=np.asarray([int(r[3]) for r in rows], dtype=np.int32),
-                right=np.asarray([int(r[4]) for r in rows], dtype=np.int32),
-                value=np.asarray([float(r[5]) for r in rows], dtype=np.float64),
-                n_samples=np.asarray([int(r[6]) for r in rows], dtype=np.int32),
-                cover=np.asarray([float(r[7]) for r in rows], dtype=np.float64),
-            )
-        )
-    return TreeEnsemble(
-        base_margin=base_margin,
-        trees=trees,
-        learning_rate=learning_rate,
-        n_features=n_features,
-    )

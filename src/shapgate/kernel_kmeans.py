@@ -47,8 +47,15 @@ class KernelSpec:
         if self.kind == "linear":
             return "linear"
         if self.kind == "polynomial":
-            return f"poly_d{self.degree}_c{self.coef0:g}"
-        return f"rbf_g{self.gamma:g}"
+            return f"poly_d{self.degree}_c{_label_number(self.coef0)}"
+        return f"rbf_g{_label_number(self.gamma)}"
+
+
+def _label_number(v):
+    # :g keeps 6 significant digits; fall back to repr when that loses the
+    # value, so spec_from_label(spec.label()) rebuilds the same spec
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def spec_from_label(label):
@@ -84,12 +91,15 @@ def kernel_matrix(spec, A, B=None):
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
 
-def kernel_eval(spec, u, v):
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DataError(f"kernel dimension mismatch: {u.shape} vs {v.shape}")
-    return float(kernel_matrix(spec, u[None, :], v[None, :])[0, 0])
+def kernel_diag(spec, X):
+    """H(X_i, X_i) for each row, in closed form: the diagonal of kernel_matrix(spec, X)."""
+    X = np.asarray(X, dtype=np.float64)
+    if spec.kind == "radial":
+        return np.ones(X.shape[0])
+    sq = np.sum(X * X, axis=1)
+    if spec.kind == "linear":
+        return sq
+    return (sq + spec.coef0) ** spec.degree
 
 
 @dataclass
@@ -221,7 +231,7 @@ def feature_distance2(model, x, cluster):
         raise DataError(f"cluster {cluster} is empty")
     x = np.asarray(x, dtype=np.float64)
     kx = kernel_matrix(model.spec, x[None, :], model.vectors)[0]
-    kxx = kernel_eval(model.spec, x, x)
+    kxx = kernel_diag(model.spec, x[None, :])[0]
     members = model.assignment == cluster
     size = float(model.sizes[cluster])
     d = kxx - 2.0 * kx[members].sum() / size + model.pair_sums[cluster] / size**2
@@ -230,15 +240,11 @@ def feature_distance2(model, x, cluster):
     return max(d, 0.0)
 
 
-def assign(model, x):
-    """Nearest implicit centroid; ties break toward the lowest cluster id."""
-    return int(assign_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def assign_batch(model, X):
+    """Nearest implicit centroid per row; ties break toward the lowest cluster id."""
     X = np.asarray(X, dtype=np.float64)
     Kx = kernel_matrix(model.spec, X, model.vectors)
-    diag = np.array([kernel_eval(model.spec, x, x) for x in X])
+    diag = kernel_diag(model.spec, X)
     onehot = np.zeros((model.vectors.shape[0], model.k))
     onehot[np.arange(model.vectors.shape[0]), model.assignment] = 1.0
     cross = Kx @ onehot

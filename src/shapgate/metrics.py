@@ -7,7 +7,7 @@ Mann-Whitney and tie-aware trapezoidal ROC integration) and the two must agree
 to 1e-12; disagreement raises instead of silently returning either.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ConfusionMetrics:
     threshold: float
     n: int
     degenerate_precision: bool = False
-    per_class: dict = field(default_factory=dict)
 
 
 def _check_binary_labels(labels):
@@ -82,7 +81,6 @@ def classification_metrics(probabilities, labels, threshold=0.5):
     accuracy = float(np.mean(preds == labels))
 
     degenerate = False
-    per_class = {}
     weighted = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
     total_tp = 0
     for cls in (0, 1):
@@ -97,7 +95,6 @@ def classification_metrics(probabilities, labels, threshold=0.5):
             prec = tp / predicted
         rec = tp / support if support > 0 else 0.0
         f1 = 0.0 if prec + rec == 0 else 2 * prec * rec / (prec + rec)
-        per_class[cls] = {"precision": prec, "recall": rec, "f1": f1, "support": support}
         w = support / n
         weighted["precision"] += w * prec
         weighted["f1"] += w * f1
@@ -115,7 +112,6 @@ def classification_metrics(probabilities, labels, threshold=0.5):
         threshold=threshold,
         n=n,
         degenerate_precision=degenerate,
-        per_class=per_class,
     )
 
 

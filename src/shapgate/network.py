@@ -170,14 +170,10 @@ def _forward_full(params, batch, config):
     return logit, (gate_sig, h0, z1, r1, z2, r2)
 
 
-def forward(params, batch, config):
+def predict(params, batch, config):
     """Probability in (0,1) for each row."""
     logit, _ = _forward_full(params, batch, config)
     return _sigmoid(logit)
-
-
-def predict(params, batch, config):
-    return forward(params, batch, config)
 
 
 def bce_loss(logit, y):
@@ -276,38 +272,3 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     return TrainResult(params=best, train_losses=train_losses,
                        val_losses=val_losses, best_epoch=best_epoch)
 
-
-# -------------------------------------------------------- text serialization
-
-def params_to_text(params):
-    lines = []
-    for name in ("delta", "gate_noise", "W1", "b1", "W2", "b2", "W3", "b3"):
-        arr = getattr(params, name)
-        if arr is None:
-            lines.append(f"{name} none")
-            continue
-        shape = "x".join(str(d) for d in arr.shape)
-        values = " ".join(repr(float(v)) for v in arr.ravel())
-        lines.append(f"{name} {shape} {values}")
-    return "\n".join(lines) + "\n"
-
-
-def params_from_text(text):
-    fields_out = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split()
-        name = parts[0]
-        if parts[1] == "none":
-            fields_out[name] = None
-            continue
-        shape = tuple(int(d) for d in parts[1].split("x"))
-        flat = np.array([float(v) for v in parts[2:]])
-        if flat.size != int(np.prod(shape)):
-            raise DataError(f"parameter block {name} has wrong element count")
-        fields_out[name] = flat.reshape(shape)
-    try:
-        return NetParams(**fields_out)
-    except TypeError as e:
-        raise DataError(f"missing parameter block: {e}") from e

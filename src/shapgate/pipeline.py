@@ -174,7 +174,16 @@ def _net_batches(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
         x=X_val, shap=shap_val,
         onehot=_onehot(kernel_kmeans.assign_batch(model, shap_val), k),
     )
-    return model, fit_batch, val_batch
+    return fit_batch, val_batch
+
+
+def _variant_batch(net_cfg, x, shap, onehot):
+    """NetBatch carrying only the inputs the variant's wiring reads."""
+    return network.NetBatch(
+        x=x,
+        shap=shap if net_cfg.attention_mode == "shap" else None,
+        onehot=onehot if net_cfg.cluster_feature else None,
+    )
 
 
 @dataclass
@@ -212,7 +221,7 @@ def run_cv_grid(prepared, core, config):
             for fold_id, (fit_rows, val_rows) in enumerate(folds):
                 fit_pos = np.searchsorted(train_ids, fit_rows)
                 val_pos = np.searchsorted(train_ids, val_rows)
-                _, fit_batch, val_batch = _net_batches(
+                fit_batch, val_batch = _net_batches(
                     X[fit_rows], shap_rows[fit_pos], X[val_rows], shap_rows[val_pos],
                     spec, k, cluster_seed=child_seed(config.master_seed, 3, cell_tag, k, fold_id),
                 )
@@ -251,15 +260,25 @@ def _gate_hash(core):
     return digest.hexdigest()
 
 
+def refit_clusters(core, spec, k, master_seed):
+    """The final cluster fit on all training attributions.
+
+    Returns the ClusterModel (its assignment covers the train rows) and the
+    out-of-sample assignment of the test rows.
+    """
+    model = kernel_kmeans.fit(core.shap_train.values, k=k, spec=spec,
+                              seed=child_seed(master_seed, 5))
+    return model, kernel_kmeans.assign_batch(model, core.shap_test.values)
+
+
 def run_final(prepared, core, spec, k, config):
     """Refit clusters on all training attributions, train and evaluate variants."""
     X = prepared.matrix.values
     y = prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
-    cluster_model, train_full, test_full = _net_batches(
-        X[tr], core.shap_train.values, X[te], core.shap_test.values,
-        spec, k, cluster_seed=child_seed(config.master_seed, 5),
-    )
+    cluster_model, test_assignment = refit_clusters(core, spec, k, config.master_seed)
+    train_parts = (X[tr], core.shap_train.values, _onehot(cluster_model.assignment, k))
+    test_parts = (X[te], core.shap_test.values, _onehot(test_assignment, k))
     shap_hash = _gate_hash(core)
     results = {}
     for variant in config.variants:
@@ -268,16 +287,8 @@ def run_final(prepared, core, spec, k, config):
             net_cfg = config.net_config(
                 variant, seed=child_seed(config.master_seed, 6, _name_tag(variant))
             )
-            train_batch = network.NetBatch(
-                x=train_full.x,
-                shap=train_full.shap if net_cfg.attention_mode == "shap" else None,
-                onehot=train_full.onehot if net_cfg.cluster_feature else None,
-            )
-            test_batch = network.NetBatch(
-                x=test_full.x,
-                shap=test_full.shap if net_cfg.attention_mode == "shap" else None,
-                onehot=test_full.onehot if net_cfg.cluster_feature else None,
-            )
+            train_batch = _variant_batch(net_cfg, *train_parts)
+            test_batch = _variant_batch(net_cfg, *test_parts)
             # final fit has no held-back fold: early stopping monitors training loss
             fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
             probs = network.predict(fitted.params, test_batch, net_cfg)

@@ -14,12 +14,20 @@ def manual_stump(feature=0, threshold=0.0, left=-1.5, right=2.5,
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, left, right]),
         n_samples=np.array([4, 2, 2], dtype=np.int32),
-        cover=np.array([1.0, 0.5, 0.5]),
     )
     return gbm.TreeEnsemble(
         base_margin=base_margin, trees=[tree],
         learning_rate=learning_rate, n_features=n_features,
     )
+
+
+def shap_row(ens, x, bg):
+    """Attributions of one feature vector, as a one-row ShapMatrix."""
+    return attribution.shap_matrix(ens, np.asarray(x, dtype=np.float64)[None, :], bg)
+
+
+def margin_of(ens, x):
+    return gbm.predict_margin_batch(ens, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def random_fit(rng, n=40, p=5, n_trees=3, max_depth=3):
@@ -34,16 +42,16 @@ def random_fit(rng, n=40, p=5, n_trees=3, max_depth=3):
 def test_zero_tree_ensemble_gives_zero_attributions():
     ens = gbm.TreeEnsemble(base_margin=0.4, trees=[], learning_rate=0.1, n_features=3)
     bg = attribution.Background(rows=np.zeros((4, 3)))
-    sv = attribution.tree_shap(ens, np.array([1.0, 2.0, 3.0]), bg)
-    assert np.array_equal(sv.values, np.zeros(3))
+    sv = shap_row(ens, np.array([1.0, 2.0, 3.0]), bg)
+    assert np.array_equal(sv.values[0], np.zeros(3))
     assert sv.base_value == 0.4
 
 
 def test_stump_same_side_gives_zero():
     ens = manual_stump()
     bg = attribution.Background(rows=np.array([[-1.0, 0, 0], [-2.0, 5, 5]]))
-    sv = attribution.tree_shap(ens, np.array([-0.5, 9.0, 9.0]), bg)  # also left
-    assert np.array_equal(sv.values, np.zeros(3))
+    sv = shap_row(ens, np.array([-0.5, 9.0, 9.0]), bg)  # also left
+    assert np.array_equal(sv.values[0], np.zeros(3))
 
 
 def test_stump_opposite_sides_hand_value():
@@ -51,11 +59,11 @@ def test_stump_opposite_sides_hand_value():
     ens = manual_stump()
     bg = attribution.Background(rows=np.array([[1.0, 0, 0], [2.0, 5, 5]]))
     x = np.array([-1.0, 9.0, 9.0])
-    sv = attribution.tree_shap(ens, x, bg)
-    margin = gbm.predict_margin(ens, x)
+    sv = shap_row(ens, x, bg)
+    phi = sv.values[0]
     assert sv.base_value == pytest.approx(0.3 + 0.7 * 2.5, abs=1e-12)
-    assert sv.values[0] == pytest.approx(margin - sv.base_value, abs=1e-12)
-    assert sv.values[1] == 0.0 and sv.values[2] == 0.0
+    assert phi[0] == pytest.approx(margin_of(ens, x) - sv.base_value, abs=1e-12)
+    assert phi[1] == 0.0 and phi[2] == 0.0
 
 
 def test_symmetric_features_get_equal_attributions():
@@ -66,8 +74,8 @@ def test_symmetric_features_get_equal_attributions():
         learning_rate=0.7, n_features=2,
     )
     bg = attribution.Background(rows=np.array([[-1.0, -1.0], [2.0, 2.0]]))
-    sv = attribution.tree_shap(ens, np.array([0.5, 0.5]), bg)
-    assert sv.values[0] == sv.values[1]
+    phi = shap_row(ens, np.array([0.5, 0.5]), bg).values[0]
+    assert phi[0] == phi[1]
 
 
 def test_dummy_feature_has_exactly_zero_attribution():
@@ -97,27 +105,33 @@ def test_oracle_matches_hand_stump():
     bg = attribution.Background(rows=np.array([[1.0, 0, 0], [2.0, 5, 5]]))
     x = np.array([-1.0, 9.0, 9.0])
     sv = attribution.exact_shapley_oracle(ens, x, bg)
-    margin = gbm.predict_margin(ens, x)
-    assert sv.values[0] == pytest.approx(margin - sv.base_value, abs=1e-12)
-    assert abs(sv.values[1]) < 1e-15 and abs(sv.values[2]) < 1e-15
+    phi = sv.values[0]
+    assert phi[0] == pytest.approx(margin_of(ens, x) - sv.base_value, abs=1e-12)
+    assert abs(phi[1]) < 1e-15 and abs(phi[2]) < 1e-15
 
 
 def test_oracle_equivalence_100_trials():
-    # fast path against enumeration over all 2^p coalitions
+    # fast path against enumeration over all 2^p coalitions; depths 4-6 give
+    # leaf paths with more than 3 distinct features
     rng = np.random.default_rng(17)
     worst = 0.0
+    widest_path = 0
     for trial in range(100):
         p = 2 + trial % 9
-        depth = 1 + trial % 3
+        depth = 1 + trial % 6
         n_trees = 1 + trial % 5
         ens, X = random_fit(rng, n=40, p=p, n_trees=n_trees, max_depth=depth)
         bg = attribution.Background(rows=X[: 5 + trial % 16])
         x = X[int(rng.integers(X.shape[0]))]
-        fast = attribution.tree_shap(ens, x, bg)
+        fast = shap_row(ens, x, bg)
         slow = attribution.exact_shapley_oracle(ens, x, bg)
         assert fast.base_value == pytest.approx(slow.base_value, abs=1e-9)
         worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
+        for tree in ens.trees:
+            for _, feats, _, _ in attribution._leaf_boxes(tree):
+                widest_path = max(widest_path, feats.size)
     assert worst < 1e-9
+    assert widest_path >= 5
 
 
 def test_additivity_across_trees():
@@ -125,14 +139,14 @@ def test_additivity_across_trees():
     ens, X = random_fit(rng, n=60, p=5, n_trees=5)
     bg = attribution.Background(rows=X[:20])
     x = X[3]
-    total = attribution.tree_shap(ens, x, bg).values
+    total = shap_row(ens, x, bg).values
     parts = np.zeros_like(total)
     for tree in ens.trees:
         single = gbm.TreeEnsemble(
             base_margin=ens.base_margin, trees=[tree],
             learning_rate=ens.learning_rate, n_features=ens.n_features,
         )
-        parts += attribution.tree_shap(single, x, bg).values
+        parts += shap_row(single, x, bg).values
     assert np.max(np.abs(total - parts)) < 1e-9
 
 
@@ -142,8 +156,8 @@ def test_matrix_matches_rowwise_calls_exactly():
     bg = attribution.Background(rows=X[:20])
     sm = attribution.shap_matrix(ens, X[:30], bg)
     for i in range(30):
-        sv = attribution.tree_shap(ens, X[i], bg)
-        assert np.array_equal(sm.values[i], sv.values)
+        sv = shap_row(ens, X[i], bg)
+        assert np.array_equal(sm.values[i], sv.values[0])
         assert sv.base_value == sm.base_value
 
 
@@ -162,7 +176,7 @@ def test_background_validation():
     ens = manual_stump()
     bg = attribution.Background(rows=np.zeros((2, 4)))  # wrong width
     with pytest.raises(DataError):
-        attribution.tree_shap(ens, np.zeros(3), bg)
+        attribution.shap_matrix(ens, np.zeros((1, 3)), bg)
 
 
 def test_make_background_cap_and_determinism():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shapgate import cli, dataset
+from shapgate import cli, dataset, kernel_kmeans, pipeline
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
 
@@ -39,6 +39,9 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"nope": 1}')
     assert cli.main(["cv", "--dataset", "heart", "--config", str(unknown)]) == 1
+    gbm_seed = tmp_path / "gbm_seed.json"
+    gbm_seed.write_text('{"gbm": {"seed": 0}}')  # the GBM fit takes no seed
+    assert cli.main(["cv", "--dataset", "heart", "--config", str(gbm_seed)]) == 1
     capsys.readouterr()
 
 
@@ -118,12 +121,12 @@ def test_explain_writes_shap_matrices(capsys, tmp_path, heart_path, fast_config)
 
 def test_cluster_with_explicit_kernel_and_k(capsys, tmp_path, heart_path, fast_config):
     out = tmp_path / "clusters"
-    code = cli.main([
+    argv = [
         "cluster", "--dataset", "heart", "--data-path", heart_path,
         "--config", fast_config, "--kernel", "rbf_g0.1", "--k", "3",
         "--out", str(out),
-    ])
-    assert code == 0
+    ]
+    assert cli.main(argv) == 0
     lines = (out / "heart_clusters.csv").read_text().splitlines()
     assert lines[0] == "row,split,cluster"
     assert len(lines) == 304
@@ -131,6 +134,18 @@ def test_cluster_with_explicit_kernel_and_k(capsys, tmp_path, heart_path, fast_c
     assert labels <= {"0", "1", "2"}
     assert {line.split(",")[1] for line in lines[1:]} == {"train", "test"}
     capsys.readouterr()
+
+    # the same assignments as the final cluster refit of run_final
+    config = cli.load_config(cli.build_parser().parse_args(argv))
+    prepared = pipeline.prepare(config, heart_path)
+    core = pipeline.fit_core(prepared, config)
+    spec = kernel_kmeans.spec_from_label("rbf_g0.1")
+    model, _ = pipeline.run_final(prepared, core, spec, 3, config)
+    test_assignment = kernel_kmeans.assign_batch(model, core.shap_test.values)
+    expected = ["row,split,cluster"]
+    expected += [f"{r},train,{c}" for r, c in zip(prepared.train_ids, model.assignment)]
+    expected += [f"{r},test,{c}" for r, c in zip(prepared.test_ids, test_assignment)]
+    assert lines == expected
 
 
 def test_cluster_requires_kernel_and_k_together(capsys, heart_path):

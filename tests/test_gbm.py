@@ -30,15 +30,17 @@ def test_second_stage_newton_value_closed_form():
     X, y = stump_data()
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=2, learning_rate=1.0, max_depth=1))
     expected = -2.0 - (1.0 + np.exp(-2.0))
-    assert gbm.predict_margin(ens, np.array([0.0])) == pytest.approx(expected, abs=1e-12)
-    assert gbm.predict_margin(ens, np.array([3.0])) == pytest.approx(-expected, abs=1e-12)
+    margins = gbm.predict_margin_batch(ens, np.array([[0.0], [3.0]]))
+    assert margins[0] == pytest.approx(expected, abs=1e-12)
+    assert margins[1] == pytest.approx(-expected, abs=1e-12)
 
 
 def test_threshold_equality_routes_left():
     X, y = stump_data()
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=1, learning_rate=1.0, max_depth=1))
-    assert gbm.predict_margin(ens, np.array([1.5])) == -2.0
-    assert gbm.predict_margin(ens, np.array([1.5000001])) == 2.0
+    margins = gbm.predict_margin_batch(ens, np.array([[1.5], [1.5000001]]))
+    assert margins[0] == -2.0
+    assert margins[1] == 2.0
 
 
 def test_feature_tie_prefers_lowest_index():
@@ -54,7 +56,8 @@ def test_zero_trees_predicts_base_rate():
     y = np.array([0] * 10 + [1] * 30)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=0))
     assert ens.n_trees == 0
-    assert gbm.predict_proba(ens, X[0]) == pytest.approx(0.75, abs=1e-12)
+    margin = gbm.predict_margin_batch(ens, X[:1])[0]
+    assert 1.0 / (1.0 + np.exp(-margin)) == pytest.approx(0.75, abs=1e-12)
     assert ens.base_margin == pytest.approx(np.log(3.0), abs=1e-12)
 
 
@@ -63,7 +66,7 @@ def test_separable_data_reaches_perfect_training_accuracy():
     X = rng.normal(size=(80, 4))
     y = (X[:, 2] > 0.0).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig())
-    preds = (gbm.predict_proba_batch(ens, X) > 0.5).astype(int)
+    preds = (gbm.predict_margin_batch(ens, X) > 0.0).astype(int)
     assert np.array_equal(preds, y)
 
 
@@ -87,6 +90,7 @@ def test_margin_matches_manual_path_walk():
     X = rng.normal(size=(100, 6))
     y = (X[:, 1] + 0.5 * X[:, 4] > 0).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=12))
+    margins = gbm.predict_margin_batch(ens, X[:20])
     for row in range(20):
         x = X[row]
         total = ens.base_margin
@@ -98,10 +102,10 @@ def test_margin_matches_manual_path_walk():
                 else:
                     node = tree.right[node]
             total += ens.learning_rate * tree.value[node]
-        assert gbm.predict_margin(ens, x) == pytest.approx(total, abs=1e-12)
+        assert margins[row] == pytest.approx(total, abs=1e-12)
 
 
-def test_parent_child_sample_counts_and_cover():
+def test_parent_child_sample_counts():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(90, 4))
     y = (X[:, 0] > 0.2).astype(int)
@@ -112,7 +116,6 @@ def test_parent_child_sample_counts_and_cover():
                 continue
             lo, hi = tree.left[node], tree.right[node]
             assert tree.n_samples[node] == tree.n_samples[lo] + tree.n_samples[hi]
-            assert tree.cover[node] == pytest.approx(tree.cover[lo] + tree.cover[hi], abs=1e-9)
 
 
 def test_min_samples_leaf_honored():
@@ -138,33 +141,11 @@ def test_fit_invariant_to_row_order():
     )
 
 
-def test_text_roundtrip_is_exact():
-    rng = np.random.default_rng(37)
-    X = rng.normal(size=(60, 4))
-    y = (X[:, 1] > 0).astype(int)
-    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=9))
-    clone = gbm.from_text(gbm.to_text(ens))
-    assert clone.base_margin == ens.base_margin
-    assert clone.learning_rate == ens.learning_rate
-    assert clone.n_trees == ens.n_trees
-    probe = rng.normal(size=(30, 4))
-    assert np.array_equal(
-        gbm.predict_margin_batch(ens, probe), gbm.predict_margin_batch(clone, probe)
-    )
-
-
-def test_malformed_text_raises():
-    with pytest.raises(DataError):
-        gbm.from_text("base_margin nope\n")
-    with pytest.raises(DataError):
-        gbm.from_text("base_margin 0.0\nlearning_rate 0.1\nn_features 2\nn_trees 1\nnot-a-tree\n")
-
-
 def test_shape_errors():
     X, y = stump_data()
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=1))
     with pytest.raises(DataError):
-        gbm.predict_margin(ens, np.zeros(3))
+        gbm.predict_margin_batch(ens, np.zeros(3))
     with pytest.raises(DataError):
         gbm.predict_margin_batch(ens, np.zeros((4, 2)))
     with pytest.raises(DataError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapgate import kernel_kmeans as kk
+from shapgate import pipeline
 from shapgate.errors import DataError
 
 LINEAR = kk.KernelSpec("linear")
@@ -56,13 +57,19 @@ def quad_map(X):
     return np.stack(cols, axis=1)
 
 
-def test_kernel_eval_hand_values():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    assert kk.kernel_eval(LINEAR, u, v) == 0.0
-    assert kk.kernel_eval(kk.KernelSpec("radial", gamma=0.5), u, u) == 1.0
-    w = np.array([1.0, 1.0])  # u.w = 1
-    assert kk.kernel_eval(kk.KernelSpec("polynomial", degree=2, coef0=1.0), u, w) == 4.0
+def test_kernel_diag_and_matrix_hand_values():
+    u = np.array([[1.0, 0.0]])
+    v = np.array([[0.0, 1.0]])
+    w = np.array([[1.0, 1.0]])  # u.w = 1
+    radial = kk.KernelSpec("radial", gamma=0.5)
+    poly = kk.KernelSpec("polynomial", degree=2, coef0=1.0)
+    assert kk.kernel_matrix(LINEAR, u, v)[0, 0] == 0.0
+    assert kk.kernel_matrix(radial, u, u)[0, 0] == 1.0
+    assert kk.kernel_matrix(poly, u, w)[0, 0] == 4.0
+    X = np.array([[1.0, 2.0], [0.0, 0.0]])
+    assert kk.kernel_diag(LINEAR, X).tolist() == [5.0, 0.0]
+    assert kk.kernel_diag(radial, X).tolist() == [1.0, 1.0]
+    assert kk.kernel_diag(poly, X).tolist() == [36.0, 1.0]
 
 
 def test_kernel_symmetry_and_radial_range():
@@ -73,12 +80,43 @@ def test_kernel_symmetry_and_radial_range():
         kk.KernelSpec("radial", gamma=0.1),
     ]
     for _ in range(50):
-        u = rng.normal(size=4)
-        v = rng.normal(size=4)
+        u = rng.normal(size=(1, 4))
+        v = rng.normal(size=(1, 4))
         for spec in specs:
-            assert kk.kernel_eval(spec, u, v) == kk.kernel_eval(spec, v, u)
+            assert kk.kernel_matrix(spec, u, v)[0, 0] == kk.kernel_matrix(spec, v, u)[0, 0]
     rbf = kk.kernel_matrix(kk.KernelSpec("radial", gamma=2.0), rng.normal(size=(20, 3)))
     assert np.all(rbf > 0.0) and np.all(rbf <= 1.0)
+
+
+def test_kernel_diag_equals_matrix_diagonal():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 5))
+    specs = [
+        LINEAR,
+        kk.KernelSpec("polynomial", degree=2, coef0=0.0),
+        kk.KernelSpec("polynomial", degree=3, coef0=1.0),
+        kk.KernelSpec("radial", gamma=0.1),
+        kk.KernelSpec("radial", gamma=10.0),
+    ]
+    for spec in specs:
+        np.testing.assert_allclose(
+            kk.kernel_diag(spec, X), np.diag(kk.kernel_matrix(spec, X)), rtol=1e-12, atol=1e-12
+        )
+
+
+def test_kernel_label_round_trips():
+    default_specs = [spec for spec, _ in pipeline.default_grid()[::5]]
+    assert [spec.label() for spec in default_specs] == [
+        "linear", "poly_d2_c0", "poly_d2_c1", "poly_d3_c0", "poly_d3_c1",
+        "rbf_g0.01", "rbf_g0.1", "rbf_g1", "rbf_g10",
+    ]
+    specs = default_specs + [
+        kk.KernelSpec("radial", gamma=0.1234567),
+        kk.KernelSpec("polynomial", degree=2, coef0=0.3333333),
+        kk.KernelSpec("polynomial", degree=3, coef0=-1e-07),
+    ]
+    for spec in specs:
+        assert kk.spec_from_label(spec.label()) == spec
 
 
 def test_kernel_spec_validation():
@@ -91,7 +129,7 @@ def test_kernel_spec_validation():
     with pytest.raises(DataError):
         kk.KernelSpec("radial", gamma=-1.0)
     with pytest.raises(DataError):
-        kk.kernel_eval(LINEAR, np.zeros(3), np.zeros(4))
+        kk.kernel_matrix(LINEAR, np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 def test_linear_distance_equals_explicit_mean():
@@ -178,7 +216,7 @@ def test_assign_fixed_point_and_center_query():
     model = kk.fit(X, k=2, spec=LINEAR, seed=7)
     redone = kk.assign_batch(model, X)
     assert np.array_equal(redone, model.assignment)
-    center_label = kk.assign(model, np.full(3, 10.0))
+    center_label = kk.assign_batch(model, np.full((1, 3), 10.0))[0]
     member = int(np.flatnonzero(truth == 0)[0])
     assert center_label == model.assignment[member]
 
@@ -186,7 +224,7 @@ def test_assign_fixed_point_and_center_query():
 def test_assign_exact_tie_goes_to_cluster_zero():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = kk.fit(X, k=2, spec=LINEAR, init_assignment=np.array([0, 1]))
-    assert kk.assign(model, np.array([0.0, 0.0])) == 0
+    assert kk.assign_batch(model, np.array([[0.0, 0.0]]))[0] == 0
 
 
 def test_fit_determinism_and_restarts():

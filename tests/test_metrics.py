@@ -67,7 +67,8 @@ def test_degenerate_precision_flagged():
     # everything predicted positive -> class 0 has no predicted members
     cm = classification_metrics([0.9, 0.8, 0.7], [1, 1, 0])
     assert cm.degenerate_precision
-    assert cm.per_class[0]["precision"] == 0.0
+    # class 0 contributes precision 0: weighted precision is (2/3) * (2/3) only
+    assert cm.precision == pytest.approx(4.0 / 9.0, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)

@@ -64,7 +64,7 @@ def test_zero_params_output_half():
     params = network.init_params(4, config, n_clusters=2)
     for name in params.trainable():
         getattr(params, name)[...] = 0.0
-    probs = network.forward(params, batch, config)
+    probs = network.predict(params, batch, config)
     assert np.all(probs == 0.5)
 
 
@@ -73,7 +73,7 @@ def test_attention_off_matches_plain_mlp_bit_for_bit():
     config = network.NetConfig(attention_mode="off", cluster_feature=False, seed=7)
     params = network.init_params(5, config)
     X = rng.normal(size=(40, 5))
-    ours = network.forward(params, network.NetBatch(x=X), config)
+    ours = network.predict(params, network.NetBatch(x=X), config)
     theirs = plain_mlp_forward(params, X)
     assert np.array_equal(ours, theirs)
 
@@ -146,9 +146,9 @@ def test_batch_vs_single_forward():
     config = network.NetConfig(attention_mode="shap", cluster_feature=True, seed=41)
     params = network.init_params(4, config, n_clusters=2)
     batch = make_batch(rng, n=16)
-    together = network.forward(params, batch, config)
+    together = network.predict(params, batch, config)
     alone = np.array([
-        network.forward(params, batch.take([i]), config)[0] for i in range(16)
+        network.predict(params, batch.take([i]), config)[0] for i in range(16)
     ])
     assert np.max(np.abs(together - alone)) < 1e-12
 
@@ -193,16 +193,6 @@ def test_divergence_raises_with_epoch():
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
         network.train(batch, y, batch, y, config)
     assert err.value.epoch == 0
-
-
-def test_params_text_roundtrip():
-    config = network.NetConfig(attention_mode="random", seed=67)
-    params = network.init_params(6, config, n_clusters=3)
-    clone = network.params_from_text(network.params_to_text(params))
-    for name in ("delta", "gate_noise", "W1", "b1", "W2", "b2", "W3", "b3"):
-        assert np.array_equal(getattr(params, name), getattr(clone, name))
-    with pytest.raises(DataError):
-        network.params_from_text("delta 2 0.0 1.0\n")
 
 
 def test_config_validation():

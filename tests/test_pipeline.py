@@ -27,7 +27,7 @@ def small_config(**overrides):
         dataset="diabetes",
         master_seed=0,
         n_seeds=1,
-        gbm_config=gbm.GbmConfig(n_trees=15, seed=0),
+        gbm_config=gbm.GbmConfig(n_trees=15),
         grid=list(SMALL_GRID),
         max_epochs=25,
         patience=8,
@@ -236,10 +236,7 @@ def _train_side_artifacts(config, path):
     core = pipeline.fit_core(prepared, config)
     grid_result = pipeline.run_cv_grid(prepared, core, config)
     spec, k = config.grid[grid_result.best_index]
-    model = kernel_kmeans.fit(
-        core.shap_train.values, k=k, spec=spec,
-        seed=pipeline.child_seed(config.master_seed, 5),
-    )
+    model, _ = pipeline.refit_clusters(core, spec, k, config.master_seed)
     net_cfg = config.net_config(
         "full", seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("full"))
     )
@@ -267,7 +264,11 @@ def test_holdout_tripwire(tmp_path, dataset_files):
     scaler_a = [(s.column, s.mean, s.std) for s in a[0].matrix.scaler_params]
     scaler_b = [(s.column, s.mean, s.std) for s in b[0].matrix.scaler_params]
     assert scaler_a == scaler_b
-    assert gbm.to_text(a[1].ensemble) == gbm.to_text(b[1].ensemble)
+    ens_a, ens_b = a[1].ensemble, b[1].ensemble
+    assert ens_a.base_margin == ens_b.base_margin and ens_a.n_trees == ens_b.n_trees
+    for tree_a, tree_b in zip(ens_a.trees, ens_b.trees):
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+            assert np.array_equal(getattr(tree_a, name), getattr(tree_b, name))
     assert np.array_equal(a[1].background.rows, b[1].background.rows)
     assert np.array_equal(a[1].shap_train.values, b[1].shap_train.values)
     assert [c.mean_f1 for c in a[2].cells] == [c.mean_f1 for c in b[2].cells]
@@ -364,7 +365,7 @@ def test_three_dataset_summary_has_three_tables(tmp_path, dataset_files):
         path, _ = dataset_files[name]
         config = small_config(
             dataset=name, grid=[SMALL_GRID[0]],
-            gbm_config=gbm.GbmConfig(n_trees=8, seed=0), max_epochs=8, patience=8,
+            gbm_config=gbm.GbmConfig(n_trees=8), max_epochs=8, patience=8,
         )
         records.append(pipeline.run_experiment(config, path))
     pipeline.emit_report(records, tmp_path)
