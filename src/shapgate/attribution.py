@@ -37,10 +37,6 @@ class ShapMatrix:
     base_value: float
     feature_names: list[str] | None = None
 
-    @property
-    def n_rows(self):
-        return self.values.shape[0]
-
 
 @dataclass
 class Background:

@@ -136,7 +136,7 @@ def load_config(args):
             raise UsageError('config key "gbm" must be an object of GBM settings')
         try:
             settings["gbm_config"] = gbm.GbmConfig(**settings.pop("gbm"))
-        except TypeError as e:
+        except (TypeError, DataError) as e:
             raise UsageError(f"bad GBM settings: {e}") from e
     if "grid" in settings:
         settings["grid"] = _grid_from_json(settings["grid"])

@@ -165,14 +165,6 @@ class FeatureMatrix:
     scaler_params: list[ScalerParams]
 
     @property
-    def n_rows(self):
-        return self.values.shape[0]
-
-    @property
-    def n_features(self):
-        return self.values.shape[1]
-
-    @property
     def feature_names(self):
         return [f"{src}" if tag == "scaled" else f"{src}={tag[6:]}" for src, tag in self.column_meta]
 

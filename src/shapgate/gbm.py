@@ -47,10 +47,6 @@ class DecisionTree:
     value: np.ndarray
     n_samples: np.ndarray
 
-    @property
-    def n_nodes(self):
-        return self.feature.size
-
     def predict(self, X):
         """Leaf value reached by each row of X."""
         X = np.asarray(X, dtype=np.float64)

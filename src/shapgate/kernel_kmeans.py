@@ -58,16 +58,25 @@ def _label_number(v):
     return text if float(text) == v else repr(float(v))
 
 
+def _label_float(text, label):
+    # the label pattern also admits non-numbers such as "1e", "." or "1-"
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"bad number {text!r} in kernel label {label!r}") from None
+
+
 def spec_from_label(label):
     """Inverse of KernelSpec.label(), for CLI flags and manifests."""
     if label == "linear":
         return KernelSpec("linear")
     m = re.fullmatch(r"poly_d(\d+)_c([0-9.eE+-]+)", label)
     if m:
-        return KernelSpec("polynomial", degree=int(m.group(1)), coef0=float(m.group(2)))
+        return KernelSpec("polynomial", degree=int(m.group(1)),
+                          coef0=_label_float(m.group(2), label))
     m = re.fullmatch(r"rbf_g([0-9.eE+-]+)", label)
     if m:
-        return KernelSpec("radial", gamma=float(m.group(1)))
+        return KernelSpec("radial", gamma=_label_float(m.group(1), label))
     raise DataError(
         f"unknown kernel label {label!r}; expected 'linear', 'poly_d<D>_c<C>' or 'rbf_g<G>'"
     )

@@ -1,11 +1,15 @@
 """Attention-gated feedforward classifier trained on binary cross-entropy.
 
-The gate reweights each feature as a_i = sigmoid(w_i) * x_i where the gate
-weight for an observation is its attribution vector plus a trainable
-per-feature offset delta (attention_mode="shap"), a fixed seeded noise vector
-plus delta ("random"), or absent entirely ("off", which reduces the model to
-a plain MLP on x, bit for bit). An optional cluster one-hot block is
-concatenated after the gate. Two ReLU layers (50, 30) feed one sigmoid unit.
+The batch decides the wiring. When it carries gate rows (``batch.shap``),
+each feature is reweighted as a_i = sigmoid(s_i + delta_i) * x_i, where s is
+the row's gate input and delta a trainable per-feature offset; without them
+the features pass through ungated. When it carries a cluster one-hot block
+(``batch.onehot``), that block is concatenated after the gate, so the first
+layer's width is p + n_clusters. A batch with neither is a plain MLP on x,
+bit for bit. The gate input is whatever the caller supplies: the pipeline
+feeds attribution rows, or one fixed seeded noise vector broadcast to every
+row for its random-attention ablation. Two ReLU layers (50, 30) feed one
+sigmoid unit.
 
 Training is mini-batch gradient descent with adaptive moment estimates and
 early stopping on validation loss; the best-validation parameters are
@@ -27,8 +31,6 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class NetConfig:
-    attention_mode: str = "shap"  # shap | random | off
-    cluster_feature: bool = True
     step_size: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 200
@@ -37,8 +39,6 @@ class NetConfig:
     hidden_sizes: tuple = HIDDEN_SIZES
 
     def __post_init__(self):
-        if self.attention_mode not in ("shap", "random", "off"):
-            raise DataError(f"unknown attention_mode {self.attention_mode!r}")
         if self.step_size <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise DataError("step_size, batch_size, max_epochs must be positive")
         if self.patience < 0:
@@ -50,7 +50,6 @@ class NetConfig:
 @dataclass
 class NetParams:
     delta: np.ndarray  # (p,) gate offset
-    gate_noise: np.ndarray | None  # (p,) fixed vector for attention_mode=random
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
@@ -61,7 +60,6 @@ class NetParams:
     def copy(self):
         return NetParams(
             delta=self.delta.copy(),
-            gate_noise=None if self.gate_noise is None else self.gate_noise.copy(),
             W1=self.W1.copy(), b1=self.b1.copy(),
             W2=self.W2.copy(), b2=self.b2.copy(),
             W3=self.W3.copy(), b3=self.b3.copy(),
@@ -74,8 +72,8 @@ class NetParams:
 @dataclass
 class NetBatch:
     x: np.ndarray  # (n, p) gated-feature source
-    shap: np.ndarray | None = None  # (n, p) attribution rows
-    onehot: np.ndarray | None = None  # (n, k) cluster one-hot
+    shap: np.ndarray | None = None  # (n, p) gate input rows; None: no gate
+    onehot: np.ndarray | None = None  # (n, k) cluster one-hot; None: no block
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
@@ -104,19 +102,13 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def attention_gate(w, x):
-    """a_i = sigmoid(w_i) * x_i."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape != x.shape:
-        raise DataError(f"gate shapes differ: {w.shape} vs {x.shape}")
-    return _sigmoid(w) * x
-
-
 def init_params(p, config, n_clusters=0):
-    """Seeded uniform fan-in initialization; gate offset starts at zero."""
+    """Seeded uniform fan-in initialization; gate offset starts at zero.
+
+    n_clusters is the width of the batch's one-hot block, 0 when it has none.
+    """
     rng = np.random.default_rng([config.seed, 0xA7])
-    width = p + (n_clusters if config.cluster_feature else 0)
+    width = p + n_clusters
     h1, h2 = config.hidden_sizes
 
     def dense(rng, fan_in, fan_out):
@@ -128,38 +120,18 @@ def init_params(p, config, n_clusters=0):
     W1, b1 = dense(rng, width, h1)
     W2, b2 = dense(rng, h1, h2)
     W3, b3 = dense(rng, h2, 1)
-    noise = None
-    if config.attention_mode == "random":
-        noise = np.random.default_rng([config.seed, 0xA7, 99]).standard_normal(p)
-    return NetParams(delta=np.zeros(p), gate_noise=noise,
-                     W1=W1, b1=b1, W2=W2, b2=b2, W3=W3, b3=b3)
+    return NetParams(delta=np.zeros(p), W1=W1, b1=b1, W2=W2, b2=b2, W3=W3, b3=b3)
 
 
-def _gate_weights(params, batch, config):
-    if config.attention_mode == "shap":
-        if batch.shap is None:
-            raise DataError("attention_mode=shap requires shap rows in the batch")
-        return batch.shap + params.delta
-    if config.attention_mode == "random":
-        return np.broadcast_to(params.gate_noise + params.delta, batch.x.shape)
-    return None
-
-
-def _forward_full(params, batch, config):
+def _forward_full(params, batch):
     """Forward pass keeping intermediates for backprop."""
-    if config.attention_mode == "off":
+    if batch.shap is None:
         gated = batch.x
         gate_sig = None
     else:
-        w = _gate_weights(params, batch, config)
-        gate_sig = _sigmoid(w)
+        gate_sig = _sigmoid(batch.shap + params.delta)
         gated = gate_sig * batch.x
-    if config.cluster_feature:
-        if batch.onehot is None:
-            raise DataError("cluster_feature=True requires cluster one-hot rows")
-        h0 = np.hstack([gated, batch.onehot])
-    else:
-        h0 = gated
+    h0 = gated if batch.onehot is None else np.hstack([gated, batch.onehot])
     z1 = h0 @ params.W1 + params.b1
     r1 = np.maximum(z1, 0.0)
     z2 = r1 @ params.W2 + params.b2
@@ -170,9 +142,9 @@ def _forward_full(params, batch, config):
     return logit, (gate_sig, h0, z1, r1, z2, r2)
 
 
-def predict(params, batch, config):
+def predict(params, batch):
     """Probability in (0,1) for each row."""
-    logit, _ = _forward_full(params, batch, config)
+    logit, _ = _forward_full(params, batch)
     return _sigmoid(logit)
 
 
@@ -181,7 +153,7 @@ def bce_loss(logit, y):
     return float(np.mean(np.logaddexp(0.0, logit) - y * logit))
 
 
-def _backward(params, batch, config, logit, cache, y):
+def _backward(params, batch, logit, cache, y):
     gate_sig, h0, z1, r1, z2, r2 = cache
     n = batch.n
     p = batch.x.shape[1]
@@ -194,7 +166,7 @@ def _backward(params, batch, config, logit, cache, y):
     dz1 = (dz2 @ params.W2.T) * (z1 > 0)
     gW1 = h0.T @ dz1
     gb1 = dz1.sum(axis=0)
-    if config.attention_mode == "off":
+    if gate_sig is None:
         gdelta = np.zeros(p)
     else:
         dgated = (dz1 @ params.W1.T)[:, :p]
@@ -203,11 +175,11 @@ def _backward(params, batch, config, logit, cache, y):
             "W3": gW3, "b3": gb3}
 
 
-def loss_and_grads(params, batch, config, y):
+def loss_and_grads(params, batch, y):
     """Mean BCE and its gradient for every trainable parameter group."""
     y = np.asarray(y, dtype=np.float64)
-    logit, cache = _forward_full(params, batch, config)
-    return bce_loss(logit, y), _backward(params, batch, config, logit, cache, y)
+    logit, cache = _forward_full(params, batch)
+    return bce_loss(logit, y), _backward(params, batch, logit, cache, y)
 
 
 @dataclass
@@ -241,7 +213,7 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
         try:
             for lo in range(0, train_batch.n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                loss, grads = loss_and_grads(params, train_batch.take(idx), config, y_train[idx])
+                loss, grads = loss_and_grads(params, train_batch.take(idx), y_train[idx])
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch)
                 step += 1
@@ -252,8 +224,8 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
                     m_hat = moment1[k] / (1 - ADAM_BETA1**step)
                     v_hat = moment2[k] / (1 - ADAM_BETA2**step)
                     getattr(params, k)[...] -= config.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            epoch_train = bce_loss(_forward_full(params, train_batch, config)[0], y_train)
-            epoch_val = bce_loss(_forward_full(params, val_batch, config)[0], y_val)
+            epoch_train = bce_loss(_forward_full(params, train_batch)[0], y_train)
+            epoch_val = bce_loss(_forward_full(params, val_batch)[0], y_val)
         except NumericalError as e:
             raise TrainingDivergedError(epoch) from e
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):

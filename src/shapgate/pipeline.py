@@ -12,10 +12,14 @@ attribution background, cluster fitting, or CV selection. The tests enforce
 this with a tripwire that corrupts test-row features and asserts that every
 fitted artifact is unchanged.
 
-Variants:
-  full              attention gate fed by the row's attributions + cluster one-hot
+Variants differ only in what the one network is fed (VARIANT_WIRING below
+is the one place that decides it; the network reads its wiring from the
+batch):
+  full              gate fed by the row's attributions + cluster one-hot
   simple_nn         plain MLP on raw features (no gate, no clusters)
-  random_attention  gate fed by one fixed seeded noise vector + cluster one-hot
+  random_attention  gate fed by one fixed noise vector, drawn from the
+                    variant's network seed and broadcast to every row, +
+                    cluster one-hot
   no_cluster_labels attribution-fed gate, no cluster block
 """
 
@@ -31,15 +35,16 @@ import numpy as np
 from . import attribution, dataset, gbm, kernel_kmeans, metrics, network
 from .errors import DataError, ShapgateError, UsageError
 
-VARIANTS = ("full", "simple_nn", "random_attention", "no_cluster_labels")
-
-# network wiring per variant: (attention_mode, cluster_feature)
+# network wiring per variant: (gate source, cluster one-hot block), where the
+# gate source is "shap" (attribution rows), "noise" (fixed seeded vector) or
+# "none" (no gate)
 VARIANT_WIRING = {
     "full": ("shap", True),
-    "simple_nn": ("off", False),
-    "random_attention": ("random", True),
+    "simple_nn": ("none", False),
+    "random_attention": ("noise", True),
     "no_cluster_labels": ("shap", False),
 }
+VARIANTS = tuple(VARIANT_WIRING)
 
 # external reference values the experiments are compared against (weighted F1
 # of the full variant); deviations beyond the tolerance are reported in the
@@ -87,11 +92,16 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANT_WIRING]
         if unknown:
             raise UsageError(f"unknown variants: {unknown}")
+        # build the settings the fits use now, so a bad value stops the run
+        # before any fitting rather than failing every grid cell later
+        try:
+            self.net_config(seed=0)
+            dataset.SplitSpec(holdout_fraction=self.holdout_fraction, n_folds=self.n_folds)
+        except DataError as e:
+            raise UsageError(str(e)) from e
 
-    def net_config(self, variant, seed):
-        mode, cluster = VARIANT_WIRING[variant]
+    def net_config(self, seed):
         return network.NetConfig(
-            attention_mode=mode, cluster_feature=cluster,
             step_size=self.step_size, batch_size=self.batch_size,
             max_epochs=self.max_epochs, patience=self.patience, seed=seed,
         )
@@ -164,25 +174,29 @@ def _onehot(assignment, k):
     return out
 
 
-def _net_batches(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
-    """Fit clusters on fit-row attributions; out-of-sample assign the val rows."""
+def _fold_parts(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
+    """Fit clusters on fit-row attributions; out-of-sample assign the val rows.
+
+    Returns (x, shap, onehot) for the fit rows and for the val rows.
+    """
     model = kernel_kmeans.fit(shap_fit, k=k, spec=spec, seed=cluster_seed)
-    fit_batch = network.NetBatch(
-        x=X_fit, shap=shap_fit, onehot=_onehot(model.assignment, k)
-    )
-    val_batch = network.NetBatch(
-        x=X_val, shap=shap_val,
-        onehot=_onehot(kernel_kmeans.assign_batch(model, shap_val), k),
-    )
-    return fit_batch, val_batch
+    val_assignment = kernel_kmeans.assign_batch(model, shap_val)
+    return ((X_fit, shap_fit, _onehot(model.assignment, k)),
+            (X_val, shap_val, _onehot(val_assignment, k)))
 
 
-def _variant_batch(net_cfg, x, shap, onehot):
-    """NetBatch carrying only the inputs the variant's wiring reads."""
+def _variant_batch(variant, net_seed, x, shap, onehot):
+    """NetBatch carrying the inputs VARIANT_WIRING gives the variant.
+
+    The random-attention gate input is one standard-normal vector drawn from
+    the variant's network seed and broadcast to every row.
+    """
+    gate, cluster = VARIANT_WIRING[variant]
+    if gate == "noise":
+        noise = np.random.default_rng([net_seed, 0xA7, 99]).standard_normal(x.shape[1])
+        shap = np.broadcast_to(noise, x.shape)
     return network.NetBatch(
-        x=x,
-        shap=shap if net_cfg.attention_mode == "shap" else None,
-        onehot=onehot if net_cfg.cluster_feature else None,
+        x=x, shap=None if gate == "none" else shap, onehot=onehot if cluster else None,
     )
 
 
@@ -221,15 +235,17 @@ def run_cv_grid(prepared, core, config):
             for fold_id, (fit_rows, val_rows) in enumerate(folds):
                 fit_pos = np.searchsorted(train_ids, fit_rows)
                 val_pos = np.searchsorted(train_ids, val_rows)
-                fit_batch, val_batch = _net_batches(
+                fit_parts, val_parts = _fold_parts(
                     X[fit_rows], shap_rows[fit_pos], X[val_rows], shap_rows[val_pos],
                     spec, k, cluster_seed=child_seed(config.master_seed, 3, cell_tag, k, fold_id),
                 )
                 net_cfg = config.net_config(
-                    "full", seed=child_seed(config.master_seed, 4, cell_tag, k, fold_id)
+                    seed=child_seed(config.master_seed, 4, cell_tag, k, fold_id)
                 )
+                fit_batch = _variant_batch("full", net_cfg.seed, *fit_parts)
+                val_batch = _variant_batch("full", net_cfg.seed, *val_parts)
                 result = network.train(fit_batch, y[fit_rows], val_batch, y[val_rows], net_cfg)
-                probs = network.predict(result.params, val_batch, net_cfg)
+                probs = network.predict(result.params, val_batch)
                 fold_f1.append(metrics.evaluate(probs, y[val_rows]).f1)
             mean_f1 = float(np.mean(fold_f1))
         except ShapgateError as e:
@@ -285,15 +301,15 @@ def run_final(prepared, core, spec, k, config):
         start = time.perf_counter()
         try:
             net_cfg = config.net_config(
-                variant, seed=child_seed(config.master_seed, 6, _name_tag(variant))
+                seed=child_seed(config.master_seed, 6, _name_tag(variant))
             )
-            train_batch = _variant_batch(net_cfg, *train_parts)
-            test_batch = _variant_batch(net_cfg, *test_parts)
+            train_batch = _variant_batch(variant, net_cfg.seed, *train_parts)
+            test_batch = _variant_batch(variant, net_cfg.seed, *test_parts)
             # final fit has no held-back fold: early stopping monitors training loss
             fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
-            probs = network.predict(fitted.params, test_batch, net_cfg)
+            probs = network.predict(fitted.params, test_batch)
             report = metrics.evaluate(probs, y[te])
-            gate = shap_hash if net_cfg.attention_mode == "shap" else None
+            gate = shap_hash if VARIANT_WIRING[variant][0] == "shap" else None
             results[variant] = VariantResult(
                 report=report, gate_input_sha256=gate,
                 train_seconds=time.perf_counter() - start,

@@ -218,8 +218,8 @@ def test_criterion_03_kernel_kmeans_correctness():
 
 # ------------------------------------------------------------- criterion 4
 
-def _max_relative_gradient_error(params, batch, config, y, step=1e-5):
-    _, grads = network.loss_and_grads(params, batch, config, y)
+def _max_relative_gradient_error(params, batch, y, step=1e-5):
+    _, grads = network.loss_and_grads(params, batch, y)
     worst = 0.0
     for name in params.trainable():
         arr = getattr(params, name)
@@ -228,9 +228,9 @@ def _max_relative_gradient_error(params, batch, config, y, step=1e-5):
             ix = it.multi_index
             keep = arr[ix]
             arr[ix] = keep + step
-            up = network.loss_and_grads(params, batch, config, y)[0]
+            up = network.loss_and_grads(params, batch, y)[0]
             arr[ix] = keep - step
-            down = network.loss_and_grads(params, batch, config, y)[0]
+            down = network.loss_and_grads(params, batch, y)[0]
             arr[ix] = keep
             numeric = (up - down) / (2 * step)
             denom = max(abs(grads[name][ix]), abs(numeric), 1e-8)
@@ -239,37 +239,44 @@ def _max_relative_gradient_error(params, batch, config, y, step=1e-5):
 
 
 def test_criterion_04_gradients_match_finite_differences():
-    """Analytic gradients, gate offset included, agree with central differences."""
+    """Analytic gradients, gate offset included, agree with central differences.
+
+    The draws cycle through every wiring the pipeline uses: gate fed by
+    attribution rows, by one broadcast noise vector, or absent, each with and
+    without the cluster one-hot block.
+    """
     rng = np.random.default_rng(404)
     for draw in range(N_GRAD_DRAWS):
-        config = network.NetConfig(
-            attention_mode=("shap", "random", "off")[draw % 3],
-            cluster_feature=draw % 2 == 0,
-            seed=300 + draw,
-            hidden_sizes=(6, 4),
-        )
-        params = network.init_params(5, config, n_clusters=3)
+        gate = ("shap", "random", "off")[draw % 3]
+        cluster = draw % 2 == 0
+        config = network.NetConfig(seed=300 + draw, hidden_sizes=(6, 4))
+        params = network.init_params(5, config, n_clusters=3 if cluster else 0)
         # move the gate offset away from its zero init so its gradient is live
         params.delta[...] = rng.normal(size=5)
         onehot = np.zeros((9, 3))
         onehot[np.arange(9), rng.integers(0, 3, size=9)] = 1.0
+        x = rng.normal(size=(9, 5))
+        shap = rng.normal(size=(9, 5))
+        if gate == "random":
+            noise = np.random.default_rng([config.seed, 0xA7, 99]).standard_normal(5)
+            shap = np.broadcast_to(noise, x.shape)
         batch = network.NetBatch(
-            x=rng.normal(size=(9, 5)), shap=rng.normal(size=(9, 5)), onehot=onehot
+            x=x, shap=None if gate == "off" else shap, onehot=onehot if cluster else None
         )
         y = rng.integers(0, 2, size=9).astype(float)
-        err = _max_relative_gradient_error(params, batch, config, y)
+        err = _max_relative_gradient_error(params, batch, y)
         assert err <= TOL_GRAD_REL, f"draw {draw}: relative error {err}"
 
 
 # ------------------------------------------------------------- criterion 5
 
 def test_criterion_05_gated_network_collapses_to_plain_mlp():
-    """Attention off + clusters off is bit-identical to an independent MLP."""
+    """A batch with no gate rows and no clusters is bit-identical to an independent MLP."""
     rng = np.random.default_rng(505)
-    config = network.NetConfig(attention_mode="off", cluster_feature=False, seed=41)
+    config = network.NetConfig(seed=41)
     params = network.init_params(6, config)
     X = rng.normal(size=(64, 6))
-    ours = network.predict(params, network.NetBatch(x=X), config)
+    ours = network.predict(params, network.NetBatch(x=X))
     z1 = X @ params.W1 + params.b1
     r1 = np.maximum(z1, 0.0)
     z2 = r1 @ params.W2 + params.b2

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, subcommand outputs, config precedence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shapgate
 from shapgate import cli, dataset, kernel_kmeans, pipeline
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
@@ -39,9 +44,21 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"nope": 1}')
     assert cli.main(["cv", "--dataset", "heart", "--config", str(unknown)]) == 1
-    gbm_seed = tmp_path / "gbm_seed.json"
-    gbm_seed.write_text('{"gbm": {"seed": 0}}')  # the GBM fit takes no seed
-    assert cli.main(["cv", "--dataset", "heart", "--config", str(gbm_seed)]) == 1
+    # bad settings stop the run before any data is read or model fitted
+    for i, settings in enumerate([
+        {"gbm": {"seed": 0}},  # the GBM fit takes no seed
+        {"gbm": {"n_trees": -1}},
+        {"batch_size": 0},
+        {"patience": -1},
+        {"holdout_fraction": 1.5},
+    ]):
+        path = tmp_path / f"settings{i}.json"
+        path.write_text(json.dumps(settings))
+        assert cli.main(["cv", "--dataset", "heart", "--config", str(path)]) == 1, settings
+    # kernel labels whose number does not parse
+    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-"):
+        argv = ["cluster", "--dataset", "heart", "--kernel", label, "--k", "3"]
+        assert cli.main(argv) == 1, label
     capsys.readouterr()
 
 
@@ -195,3 +212,22 @@ def test_config_precedence_flags_over_file_over_defaults(tmp_path):
         (KernelSpec("radial", gamma=0.1), 3),
     ]
     assert config.variants == ("full",)
+
+
+def test_run_bytes_independent_of_blas_threads(tmp_path, heart_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["rbf_g0.1", 3]]}))
+    src = str(Path(shapgate.__file__).resolve().parents[1])
+    csvs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "shapgate", "run", "--dataset", "heart",
+             "--data-path", heart_path, "--config", str(config), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        csvs[threads] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert len(csvs["1"]) == 5  # metrics table + one ROC curve per variant
+    assert csvs["1"] == csvs["2"]

@@ -111,7 +111,7 @@ def test_parent_child_sample_counts():
     y = (X[:, 0] > 0.2).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=8))
     for tree in ens.trees:
-        for node in range(tree.n_nodes):
+        for node in range(tree.feature.size):
             if tree.feature[node] < 0:
                 continue
             lo, hi = tree.left[node], tree.right[node]

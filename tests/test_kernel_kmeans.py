@@ -130,6 +130,9 @@ def test_kernel_spec_validation():
         kk.KernelSpec("radial", gamma=-1.0)
     with pytest.raises(DataError):
         kk.kernel_matrix(LINEAR, np.zeros((1, 3)), np.zeros((1, 4)))
+    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "sigmoid"):
+        with pytest.raises(DataError):
+            kk.spec_from_label(label)
 
 
 def test_linear_distance_equals_explicit_mean():

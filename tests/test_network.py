@@ -15,6 +15,17 @@ def make_batch(rng, n=8, p=4, k=2):
     )
 
 
+def wire(batch, mode, cluster, seed):
+    """The batch as the pipeline wires it: gate rows from shap, from the
+    fixed noise vector of the given network seed, or none; one-hot or none."""
+    if mode == "random":
+        noise = np.random.default_rng([seed, 0xA7, 99]).standard_normal(batch.x.shape[1])
+        gate = np.broadcast_to(noise, batch.x.shape)
+    else:
+        gate = batch.shap if mode == "shap" else None
+    return network.NetBatch(x=batch.x, shap=gate, onehot=batch.onehot if cluster else None)
+
+
 def plain_mlp_forward(params, X):
     """Independent minimal MLP; the attention-off network must match bit for bit."""
     z1 = X @ params.W1 + params.b1
@@ -25,8 +36,8 @@ def plain_mlp_forward(params, X):
     return 1.0 / (1.0 + np.exp(-logit))
 
 
-def finite_difference_check(params, batch, config, y, step=1e-5, rel_tol=1e-4):
-    _, grads = network.loss_and_grads(params, batch, config, y)
+def finite_difference_check(params, batch, y, step=1e-5, rel_tol=1e-4):
+    _, grads = network.loss_and_grads(params, batch, y)
     for name in params.trainable():
         arr = getattr(params, name)
         analytic = grads[name]
@@ -35,9 +46,9 @@ def finite_difference_check(params, batch, config, y, step=1e-5, rel_tol=1e-4):
             ix = it.multi_index
             keep = arr[ix]
             arr[ix] = keep + step
-            up = network.loss_and_grads(params, batch, config, y)[0]
+            up = network.loss_and_grads(params, batch, y)[0]
             arr[ix] = keep - step
-            down = network.loss_and_grads(params, batch, config, y)[0]
+            down = network.loss_and_grads(params, batch, y)[0]
             arr[ix] = keep
             numeric = (up - down) / (2 * step)
             denom = max(abs(analytic[ix]), abs(numeric), 1e-8)
@@ -47,14 +58,23 @@ def finite_difference_check(params, batch, config, y, step=1e-5, rel_tol=1e-4):
 
 
 def test_attention_gate_hand_values():
-    x = np.array([2.0, -4.0, 1.0])
-    assert np.array_equal(network.attention_gate(np.zeros(3), x), 0.5 * x)
-    near_one = network.attention_gate(np.full(3, 20.0), x)
-    assert np.max(np.abs(near_one - x)) < 1e-8
-    near_zero = network.attention_gate(np.full(3, -20.0), x)
-    assert np.max(np.abs(near_zero)) < 1e-8 * np.max(np.abs(x))
+    # the gated block h0[:, :p] of the forward pass is sigmoid(shap + delta) * x;
+    # delta starts at zero, so the gate weight is the shap row itself
+    x = np.array([[2.0, -4.0, 1.0]])
+    params = network.init_params(3, network.NetConfig(), n_clusters=2)
+
+    def gated(w):
+        batch = network.NetBatch(x=x, shap=np.full((1, 3), w), onehot=[[0.0, 1.0]])
+        _, cache = network._forward_full(params, batch)
+        h0 = cache[1]
+        assert np.array_equal(h0[:, 3:], [[0.0, 1.0]])
+        return h0[:, :3]
+
+    assert np.array_equal(gated(0.0), 0.5 * x)
+    assert np.max(np.abs(gated(20.0) - x)) < 1e-8
+    assert np.max(np.abs(gated(-20.0))) < 1e-8 * np.max(np.abs(x))
     with pytest.raises(DataError):
-        network.attention_gate(np.zeros(2), x)
+        network.NetBatch(x=x, shap=np.zeros((1, 2)))
 
 
 def test_zero_params_output_half():
@@ -64,27 +84,27 @@ def test_zero_params_output_half():
     params = network.init_params(4, config, n_clusters=2)
     for name in params.trainable():
         getattr(params, name)[...] = 0.0
-    probs = network.predict(params, batch, config)
+    probs = network.predict(params, batch)
     assert np.all(probs == 0.5)
 
 
 def test_attention_off_matches_plain_mlp_bit_for_bit():
     rng = np.random.default_rng(3)
-    config = network.NetConfig(attention_mode="off", cluster_feature=False, seed=7)
+    config = network.NetConfig(seed=7)
     params = network.init_params(5, config)
     X = rng.normal(size=(40, 5))
-    ours = network.predict(params, network.NetBatch(x=X), config)
+    ours = network.predict(params, network.NetBatch(x=X))
     theirs = plain_mlp_forward(params, X)
     assert np.array_equal(ours, theirs)
 
 
 def test_gradient_check_full_architecture():
     rng = np.random.default_rng(5)
-    config = network.NetConfig(attention_mode="shap", cluster_feature=True, seed=11)
+    config = network.NetConfig(seed=11)
     params = network.init_params(4, config, n_clusters=2)
     batch = make_batch(rng)
     y = rng.integers(0, 2, size=8).astype(float)
-    finite_difference_check(params, batch, config, y)
+    finite_difference_check(params, batch, y)
 
 
 def test_gradient_check_ten_random_draws_all_modes():
@@ -92,16 +112,13 @@ def test_gradient_check_ten_random_draws_all_modes():
     for draw in range(10):
         mode = ("shap", "random", "off")[draw % 3]
         cluster = draw % 2 == 0
-        config = network.NetConfig(
-            attention_mode=mode, cluster_feature=cluster,
-            seed=100 + draw, hidden_sizes=(7, 5),
-        )
-        params = network.init_params(4, config, n_clusters=2)
+        config = network.NetConfig(seed=100 + draw, hidden_sizes=(7, 5))
+        params = network.init_params(4, config, n_clusters=2 if cluster else 0)
         # move off the zero init so delta gradients are exercised
         params.delta[...] = rng.normal(size=4)
-        batch = make_batch(rng)
+        batch = wire(make_batch(rng), mode, cluster, config.seed)
         y = rng.integers(0, 2, size=8).astype(float)
-        finite_difference_check(params, batch, config, y)
+        finite_difference_check(params, batch, y)
 
 
 def test_xor_training_accuracy():
@@ -109,20 +126,17 @@ def test_xor_training_accuracy():
     corners = rng.integers(0, 2, size=(200, 2))
     X = corners + 0.05 * rng.normal(size=(200, 2))
     y = (corners[:, 0] ^ corners[:, 1]).astype(float)
-    config = network.NetConfig(
-        attention_mode="off", cluster_feature=False,
-        step_size=1e-2, seed=19,
-    )
+    config = network.NetConfig(step_size=1e-2, seed=19)
     batch = network.NetBatch(x=X)
     result = network.train(batch, y, batch, y, config)
-    preds = (network.predict(result.params, batch, config) > 0.5).astype(float)
+    preds = (network.predict(result.params, batch) > 0.5).astype(float)
     assert (preds == y).mean() >= 0.95
 
 
 def test_constant_labels_rejected():
     rng = np.random.default_rng(23)
     batch = network.NetBatch(x=rng.normal(size=(10, 3)))
-    config = network.NetConfig(attention_mode="off", cluster_feature=False)
+    config = network.NetConfig()
     with pytest.raises(DataError):
         network.train(batch, np.ones(10), batch, np.ones(10), config)
 
@@ -143,24 +157,24 @@ def test_training_determinism():
 
 def test_batch_vs_single_forward():
     rng = np.random.default_rng(37)
-    config = network.NetConfig(attention_mode="shap", cluster_feature=True, seed=41)
+    config = network.NetConfig(seed=41)
     params = network.init_params(4, config, n_clusters=2)
     batch = make_batch(rng, n=16)
-    together = network.predict(params, batch, config)
+    together = network.predict(params, batch)
     alone = np.array([
-        network.predict(params, batch.take([i]), config)[0] for i in range(16)
+        network.predict(params, batch.take([i]))[0] for i in range(16)
     ])
     assert np.max(np.abs(together - alone)) < 1e-12
 
 
 def test_predict_is_pointwise():
     rng = np.random.default_rng(43)
-    config = network.NetConfig(attention_mode="random", cluster_feature=False, seed=47)
+    config = network.NetConfig(seed=47)
     params = network.init_params(5, config)
-    batch = network.NetBatch(x=rng.normal(size=(12, 5)))
-    probs = network.predict(params, batch, config)
+    batch = wire(network.NetBatch(x=rng.normal(size=(12, 5))), "random", False, config.seed)
+    probs = network.predict(params, batch)
     perm = rng.permutation(12)
-    permuted = network.predict(params, batch.take(perm), config)
+    permuted = network.predict(params, batch.take(perm))
     assert np.array_equal(probs[perm], permuted)
     assert np.all((probs > 0.0) & (probs < 1.0))
 
@@ -171,15 +185,12 @@ def test_early_stopping_restores_best_validation_params():
     y = (X[:, 0] > 0).astype(float)
     Xv = rng.normal(size=(30, 3))
     yv = rng.integers(0, 2, size=30).astype(float)  # noise: validation loss must rise
-    config = network.NetConfig(
-        attention_mode="off", cluster_feature=False,
-        step_size=1e-2, patience=5, max_epochs=200, seed=59,
-    )
+    config = network.NetConfig(step_size=1e-2, patience=5, max_epochs=200, seed=59)
     result = network.train(network.NetBatch(x=X), y, network.NetBatch(x=Xv), yv, config)
     losses = np.asarray(result.val_losses)
     assert result.best_epoch == int(np.argmin(losses))
     refit = network.bce_loss(
-        network._forward_full(result.params, network.NetBatch(x=Xv), config)[0], yv
+        network._forward_full(result.params, network.NetBatch(x=Xv))[0], yv
     )
     assert refit == losses[result.best_epoch]
     assert losses.size < 200  # patience actually stopped it
@@ -187,7 +198,7 @@ def test_early_stopping_restores_best_validation_params():
 
 def test_divergence_raises_with_epoch():
     # infinite inputs make the very first forward pass non-finite
-    config = network.NetConfig(attention_mode="off", cluster_feature=False, seed=61)
+    config = network.NetConfig(seed=61)
     batch = network.NetBatch(x=np.full((8, 2), np.inf))
     y = np.array([0.0, 1.0] * 4)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
@@ -196,8 +207,6 @@ def test_divergence_raises_with_epoch():
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
-        network.NetConfig(attention_mode="full")
     with pytest.raises(DataError):
         network.NetConfig(step_size=0.0)
     with pytest.raises(DataError):

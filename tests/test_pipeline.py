@@ -203,11 +203,11 @@ def test_simple_nn_path_is_plain_mlp(small_parts, small_record):
     X, y = prepared.matrix.values, prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
     net_cfg = config.net_config(
-        "simple_nn", seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("simple_nn"))
+        seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("simple_nn"))
     )
     train_batch = network.NetBatch(x=X[tr])
     fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
-    probs = network.predict(fitted.params, network.NetBatch(x=X[te]), net_cfg)
+    probs = network.predict(fitted.params, network.NetBatch(x=X[te]))
     report = metrics.evaluate(probs, y[te])
     got = small_record.variants["simple_nn"].report
     assert report.f1 == got.f1
@@ -238,7 +238,7 @@ def _train_side_artifacts(config, path):
     spec, k = config.grid[grid_result.best_index]
     model, _ = pipeline.refit_clusters(core, spec, k, config.master_seed)
     net_cfg = config.net_config(
-        "full", seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("full"))
+        seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("full"))
     )
     X, y = prepared.matrix.values, prepared.matrix.labels
     tr = prepared.train_ids
