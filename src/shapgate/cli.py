@@ -177,6 +177,7 @@ def cmd_cv(args):
     config = load_config(args)
     path = dataset.resolve_data_path(config.dataset, args.data_path)
     prepared = pipeline.prepare(config, path)
+    pipeline.check_grid_fits(prepared, config)
     core = pipeline.fit_core(prepared, config)
     result = pipeline.run_cv_grid(prepared, core, config)
     print(f"{'kernel':<14} {'k':>2}  {'mean_f1':>8}  fold F1")
@@ -221,6 +222,8 @@ def cmd_cluster(args):
         spec, k = _spec_from_flag(args.kernel), args.k
     path = dataset.resolve_data_path(config.dataset, args.data_path)
     prepared = pipeline.prepare(config, path)
+    if spec is None:
+        pipeline.check_grid_fits(prepared, config)
     core = pipeline.fit_core(prepared, config)
     if spec is None:
         result = pipeline.run_cv_grid(prepared, core, config)

@@ -8,6 +8,7 @@ greedy farthest-point in feature space; restarts keep the lowest objective.
 Ties everywhere break toward the lowest index.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -31,12 +32,13 @@ class KernelSpec:
         elif self.kind == "polynomial":
             ok = (
                 isinstance(self.degree, int) and self.degree >= 1
-                and self.coef0 is not None and self.gamma is None
+                and self.coef0 is not None and math.isfinite(self.coef0)
+                and self.gamma is None
             )
         elif self.kind == "radial":
             ok = (
                 self.degree is None and self.coef0 is None
-                and self.gamma is not None and self.gamma > 0
+                and self.gamma is not None and math.isfinite(self.gamma) and self.gamma > 0
             )
         else:
             raise DataError(f"unknown kernel kind {self.kind!r}")

@@ -17,6 +17,7 @@ restored. All arithmetic is float64 numpy; gradients are hand-derived and
 checked against central finite differences in the tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,6 @@ class NetParams:
     W3: np.ndarray
     b3: np.ndarray
 
-    def copy(self):
-        return NetParams(
-            delta=self.delta.copy(),
-            W1=self.W1.copy(), b1=self.b1.copy(),
-            W2=self.W2.copy(), b2=self.b2.copy(),
-            W3=self.W3.copy(), b3=self.b3.copy(),
-        )
-
     def trainable(self):
         return ("delta", "W1", "b1", "W2", "b2", "W3", "b3")
 
@@ -91,11 +84,13 @@ class NetBatch:
         return self.x.shape[0]
 
     def take(self, idx):
-        return NetBatch(
-            x=self.x[idx],
-            shap=None if self.shap is None else self.shap[idx],
-            onehot=None if self.onehot is None else self.onehot[idx],
-        )
+        """Row subset. The rows come from this already-checked batch, so the
+        subset is built without running the validation again."""
+        sub = object.__new__(NetBatch)
+        sub.x = self.x[idx]
+        sub.shap = None if self.shap is None else self.shap[idx]
+        sub.onehot = None if self.onehot is None else self.onehot[idx]
+        return sub
 
 
 def _sigmoid(z):
@@ -153,33 +148,39 @@ def bce_loss(logit, y):
     return float(np.mean(np.logaddexp(0.0, logit) - y * logit))
 
 
-def _backward(params, batch, logit, cache, y):
+def _backward(params, batch, logit, cache, y, out):
+    """Write each group's gradient into the matching array of `out`."""
     gate_sig, h0, z1, r1, z2, r2 = cache
     n = batch.n
     p = batch.x.shape[1]
     dlogit = (_sigmoid(logit) - y)[:, None] / n
-    gW3 = r2.T @ dlogit
-    gb3 = dlogit.sum(axis=0)
+    np.matmul(r2.T, dlogit, out=out["W3"])
+    dlogit.sum(axis=0, out=out["b3"])
     dz2 = (dlogit @ params.W3.T) * (z2 > 0)
-    gW2 = r1.T @ dz2
-    gb2 = dz2.sum(axis=0)
+    np.matmul(r1.T, dz2, out=out["W2"])
+    dz2.sum(axis=0, out=out["b2"])
     dz1 = (dz2 @ params.W2.T) * (z1 > 0)
-    gW1 = h0.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    np.matmul(h0.T, dz1, out=out["W1"])
+    dz1.sum(axis=0, out=out["b1"])
     if gate_sig is None:
-        gdelta = np.zeros(p)
+        out["delta"].fill(0.0)
     else:
         dgated = (dz1 @ params.W1.T)[:, :p]
-        gdelta = (dgated * batch.x * gate_sig * (1.0 - gate_sig)).sum(axis=0)
-    return {"delta": gdelta, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2,
-            "W3": gW3, "b3": gb3}
+        (dgated * batch.x * gate_sig * (1.0 - gate_sig)).sum(axis=0, out=out["delta"])
+    return out
 
 
-def loss_and_grads(params, batch, y):
-    """Mean BCE and its gradient for every trainable parameter group."""
+def loss_and_grads(params, batch, y, out=None):
+    """Mean BCE and its gradient for every trainable parameter group.
+
+    The gradients come back as a dict keyed by group name. When `out` is such
+    a dict of arrays shaped like the groups, they are written into it.
+    """
     y = np.asarray(y, dtype=np.float64)
+    if out is None:
+        out = {k: np.empty_like(getattr(params, k)) for k in params.trainable()}
     logit, cache = _forward_full(params, batch)
-    return bce_loss(logit, y), _backward(params, batch, logit, cache, y)
+    return bce_loss(logit, y), _backward(params, batch, logit, cache, y, out)
 
 
 @dataclass
@@ -190,19 +191,69 @@ class TrainResult:
     best_epoch: int
 
 
+def _group_views(flat, shapes):
+    """Reshaped views into `flat`, one per (name, shape) pair, laid end to end."""
+    views = {}
+    lo = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[lo : lo + size].reshape(shape)
+        lo += size
+    return views
+
+
+def _adam_update(theta, g, m, v, scratch, step, step_size):
+    """One in-place Adam update of the flat parameter buffer `theta`.
+
+    Every operation is elementwise and keeps the order of
+        m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+        theta -= step_size*m_hat / (sqrt(v_hat) + eps),
+    so the result equals a per-group update bit for bit. The bias
+    corrections take Python's float power of the int step: numpy's power
+    can differ from it in the last bit.
+    """
+    a, b = scratch
+    m *= ADAM_BETA1
+    np.multiply(g, 1 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=a)
+    a *= g
+    v += a
+    np.divide(m, 1 - ADAM_BETA1**step, out=a)
+    a *= step_size
+    np.divide(v, 1 - ADAM_BETA2**step, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    theta -= a
+
+
 def train(train_batch, train_labels, val_batch, val_labels, config):
-    """Fit from scratch; returns the best-validation parameters and history."""
+    """Fit from scratch; returns the best-validation parameters and history.
+
+    The trainable groups are views into one flat buffer, and so are their
+    gradients, so each step is one Adam update over the whole buffer. When
+    the validation batch is the training batch with the same labels, each
+    epoch's loss is computed once and serves as both.
+    """
     y_train = np.asarray(train_labels, dtype=np.float64)
     y_val = np.asarray(val_labels, dtype=np.float64)
     if y_train.min() == y_train.max():
         raise DataError("training labels are single-class")
-    params = init_params(train_batch.x.shape[1], config,
-                         n_clusters=0 if train_batch.onehot is None else train_batch.onehot.shape[1])
-    names = params.trainable()
-    moment1 = {k: np.zeros_like(getattr(params, k)) for k in names}
-    moment2 = {k: np.zeros_like(getattr(params, k)) for k in names}
+    init = init_params(train_batch.x.shape[1], config,
+                       n_clusters=0 if train_batch.onehot is None else train_batch.onehot.shape[1])
+    shapes = [(k, getattr(init, k).shape) for k in init.trainable()]
+    flat = np.concatenate([getattr(init, k).ravel() for k, _ in shapes])
+    params = NetParams(**_group_views(flat, shapes))
+    grad = np.zeros_like(flat)
+    grads = _group_views(grad, shapes)
+    moment1 = np.zeros_like(flat)
+    moment2 = np.zeros_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
+    val_is_train = val_batch is train_batch and np.array_equal(y_val, y_train)
     step = 0
-    best = params.copy()
+    best = flat.copy()
     best_loss = np.inf
     best_epoch = -1
     since_best = 0
@@ -213,19 +264,16 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
         try:
             for lo in range(0, train_batch.n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                loss, grads = loss_and_grads(params, train_batch.take(idx), y_train[idx])
+                loss, _ = loss_and_grads(params, train_batch.take(idx), y_train[idx], out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch)
                 step += 1
-                for k in names:
-                    g = grads[k]
-                    moment1[k] = ADAM_BETA1 * moment1[k] + (1 - ADAM_BETA1) * g
-                    moment2[k] = ADAM_BETA2 * moment2[k] + (1 - ADAM_BETA2) * g * g
-                    m_hat = moment1[k] / (1 - ADAM_BETA1**step)
-                    v_hat = moment2[k] / (1 - ADAM_BETA2**step)
-                    getattr(params, k)[...] -= config.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                _adam_update(flat, grad, moment1, moment2, scratch, step, config.step_size)
             epoch_train = bce_loss(_forward_full(params, train_batch)[0], y_train)
-            epoch_val = bce_loss(_forward_full(params, val_batch)[0], y_val)
+            if val_is_train:
+                epoch_val = epoch_train
+            else:
+                epoch_val = bce_loss(_forward_full(params, val_batch)[0], y_val)
         except NumericalError as e:
             raise TrainingDivergedError(epoch) from e
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
@@ -234,13 +282,12 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
         val_losses.append(epoch_val)
         if epoch_val < best_loss:
             best_loss = epoch_val
-            best = params.copy()
+            best[...] = flat
             best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best > config.patience:
                 break
-    return TrainResult(params=best, train_losses=train_losses,
-                       val_losses=val_losses, best_epoch=best_epoch)
-
+    return TrainResult(params=NetParams(**_group_views(best, shapes)),
+                       train_losses=train_losses, val_losses=val_losses, best_epoch=best_epoch)

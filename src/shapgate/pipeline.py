@@ -23,6 +23,7 @@ batch):
   no_cluster_labels attribution-fed gate, no cluster block
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -92,6 +93,10 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANT_WIRING]
         if unknown:
             raise UsageError(f"unknown variants: {unknown}")
+        # gbm.fit accepts zero trees, but their attributions are all zero, so
+        # every gate would be a constant one half
+        if self.gbm_config.n_trees < 1:
+            raise UsageError("gbm n_trees must be >= 1 for an experiment")
         # build the settings the fits use now, so a bad value stops the run
         # before any fitting rather than failing every grid cell later
         try:
@@ -216,16 +221,38 @@ class GridResult:
     folds_seed: int
 
 
+def _cv_folds(prepared, config):
+    """The CV grid's (fit_rows, val_rows) folds of the training split, and their seed."""
+    folds_seed = child_seed(config.master_seed, 2)
+    folds = dataset.stratified_kfold(
+        prepared.train_ids, prepared.matrix.labels,
+        dataset.SplitSpec(n_folds=config.n_folds, seed=folds_seed),
+    )
+    return folds, folds_seed
+
+
+def check_grid_fits(prepared, config):
+    """UsageError when a grid k is below 1 or above the rows of the smallest
+    CV fit fold.
+
+    Such a cell can only fail, so the check runs before any model is fitted.
+    """
+    folds, _ = _cv_folds(prepared, config)
+    smallest = min(len(fit_rows) for fit_rows, _ in folds)
+    bad = sorted({k for _, k in config.grid if not 1 <= k <= smallest})
+    if bad:
+        raise UsageError(
+            f"grid k {bad} outside [1, {smallest}], the rows of the smallest CV fit fold"
+        )
+
+
 def run_cv_grid(prepared, core, config):
     """Mean five-fold weighted F1 of the full variant for every grid cell."""
     X = prepared.matrix.values
     y = prepared.matrix.labels
     train_ids = prepared.train_ids
     shap_rows = core.shap_train.values  # aligned with train_ids order
-    folds_seed = child_seed(config.master_seed, 2)
-    folds = dataset.stratified_kfold(
-        train_ids, y, dataset.SplitSpec(n_folds=config.n_folds, seed=folds_seed)
-    )
+    folds, folds_seed = _cv_folds(prepared, config)
     cells = []
     for spec, k in config.grid:
         cell_tag = _name_tag(spec.label())
@@ -352,6 +379,8 @@ def run_experiment(config, data_path, chosen=None):
     start = time.perf_counter()
     prepared = prepare(config, data_path)
     timings["prepare"] = time.perf_counter() - start
+    if chosen is None:
+        check_grid_fits(prepared, config)
 
     start = time.perf_counter()
     core = fit_core(prepared, config)
@@ -516,6 +545,22 @@ def _record_manifest(record):
     return out
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open a temp file beside `path` for writing and rename it into place
+    on a clean exit, so a crash never leaves a half-written file."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def emit_report(records, out_dir):
     """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest."""
     if not records:
@@ -549,7 +594,7 @@ def emit_report(records, out_dir):
                     f"{variant},{med['precision']!r},{med['recall']!r},"
                     f"{med['f1']!r},{med['accuracy']!r},{med['auc']!r}"
                 )
-        with open(csv_path, "w") as fh:
+        with _atomic_open(csv_path) as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(csv_path)
 
@@ -562,7 +607,7 @@ def emit_report(records, out_dir):
             roc_lines = ["fpr,tpr"]
             for fpr, tpr in vr.report.roc_points:
                 roc_lines.append(f"{fpr!r},{tpr!r}")
-            with open(roc_path, "w") as fh:
+            with _atomic_open(roc_path) as fh:
                 fh.write("\n".join(roc_lines) + "\n")
             written.append(roc_path)
 
@@ -615,11 +660,11 @@ def emit_report(records, out_dir):
 
     manifest["runs"] = [_record_manifest(r) for r in records]
     summary_path = os.path.join(out_dir, "summary.md")
-    with open(summary_path, "w") as fh:
+    with _atomic_open(summary_path) as fh:
         fh.write("\n".join(summary_lines) + "\n")
     written.append(summary_path)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
+    with _atomic_open(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(manifest_path)

@@ -51,14 +51,31 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         {"batch_size": 0},
         {"patience": -1},
         {"holdout_fraction": 1.5},
+        {"gbm": {"n_trees": 0}},  # zero trees give all-zero attributions
     ]):
         path = tmp_path / f"settings{i}.json"
         path.write_text(json.dumps(settings))
         assert cli.main(["cv", "--dataset", "heart", "--config", str(path)]) == 1, settings
-    # kernel labels whose number does not parse
-    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-"):
+    # kernel labels whose number does not parse or is not finite
+    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "rbf_g1e999", "poly_d2_c1e999"):
         argv = ["cluster", "--dataset", "heart", "--kernel", label, "--k", "3"]
         assert cli.main(argv) == 1, label
+    capsys.readouterr()
+
+
+def test_grid_k_above_fit_fold_exits_1_before_fitting(capsys, tmp_path, heart_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the grid check")
+
+    monkeypatch.setattr(shapgate.gbm, "fit", no_fit)
+    path = tmp_path / "big_k.json"
+    path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 500]]}))
+    common = ["--dataset", "heart", "--data-path", heart_path, "--config", str(path)]
+    assert cli.main(["cv", *common]) == 1
+    assert "grid k [500]" in capsys.readouterr().err
+    assert cli.main(["run", *common, "--out", str(tmp_path / "out")]) == 1
+    assert cli.main(["cluster", *common, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
     capsys.readouterr()
 
 

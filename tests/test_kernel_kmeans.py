@@ -130,7 +130,8 @@ def test_kernel_spec_validation():
         kk.KernelSpec("radial", gamma=-1.0)
     with pytest.raises(DataError):
         kk.kernel_matrix(LINEAR, np.zeros((1, 3)), np.zeros((1, 4)))
-    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "sigmoid"):
+    # a number that parses to infinity is rejected like one that does not parse
+    for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "sigmoid", "rbf_g1e999", "poly_d2_c1e999"):
         with pytest.raises(DataError):
             kk.spec_from_label(label)
 

@@ -57,6 +57,104 @@ def finite_difference_check(params, batch, y, step=1e-5, rel_tol=1e-4):
             )
 
 
+def reference_loss_and_grads(params, batch, y):
+    """Backward pass as it was before the flat buffer: every gradient a fresh
+    array from `@` and `.sum`, no `out=` targets."""
+    logit, (gate_sig, h0, z1, r1, z2, r2) = network._forward_full(params, batch)
+    p = batch.x.shape[1]
+    dlogit = (network._sigmoid(logit) - y)[:, None] / batch.n
+    dz2 = (dlogit @ params.W3.T) * (z2 > 0)
+    dz1 = (dz2 @ params.W2.T) * (z1 > 0)
+    if gate_sig is None:
+        gdelta = np.zeros(p)
+    else:
+        dgated = (dz1 @ params.W1.T)[:, :p]
+        gdelta = (dgated * batch.x * gate_sig * (1.0 - gate_sig)).sum(axis=0)
+    grads = {"delta": gdelta, "W1": h0.T @ dz1, "b1": dz1.sum(axis=0),
+             "W2": r1.T @ dz2, "b2": dz2.sum(axis=0),
+             "W3": r2.T @ dlogit, "b3": dlogit.sum(axis=0)}
+    return network.bce_loss(logit, y), grads
+
+
+def copy_params(params):
+    return network.NetParams(**{k: getattr(params, k).copy() for k in params.trainable()})
+
+
+def reference_train(train_batch, train_labels, val_batch, val_labels, config):
+    """Per-group Adam trainer: separate parameter and moment arrays per group,
+    a validated NetBatch for every mini-batch, and a separate validation pass
+    every epoch. network.train must equal it bit for bit."""
+    y_train = np.asarray(train_labels, dtype=np.float64)
+    y_val = np.asarray(val_labels, dtype=np.float64)
+    params = network.init_params(train_batch.x.shape[1], config,
+                                 n_clusters=0 if train_batch.onehot is None else train_batch.onehot.shape[1])
+    names = params.trainable()
+    moment1 = {k: np.zeros_like(getattr(params, k)) for k in names}
+    moment2 = {k: np.zeros_like(getattr(params, k)) for k in names}
+    step = 0
+    best = copy_params(params)
+    best_loss = np.inf
+    best_epoch = -1
+    since_best = 0
+    train_losses = []
+    val_losses = []
+    for epoch in range(config.max_epochs):
+        order = np.random.default_rng([config.seed, 0xE0, epoch]).permutation(train_batch.n)
+        for lo in range(0, train_batch.n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            sub = network.NetBatch(
+                x=train_batch.x[idx],
+                shap=None if train_batch.shap is None else train_batch.shap[idx],
+                onehot=None if train_batch.onehot is None else train_batch.onehot[idx],
+            )
+            _, grads = reference_loss_and_grads(params, sub, y_train[idx])
+            step += 1
+            for k in names:
+                g = grads[k]
+                moment1[k] = network.ADAM_BETA1 * moment1[k] + (1 - network.ADAM_BETA1) * g
+                moment2[k] = network.ADAM_BETA2 * moment2[k] + (1 - network.ADAM_BETA2) * g * g
+                m_hat = moment1[k] / (1 - network.ADAM_BETA1**step)
+                v_hat = moment2[k] / (1 - network.ADAM_BETA2**step)
+                getattr(params, k)[...] -= (
+                    config.step_size * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
+                )
+        train_losses.append(network.bce_loss(network._forward_full(params, train_batch)[0], y_train))
+        val_losses.append(network.bce_loss(network._forward_full(params, val_batch)[0], y_val))
+        if val_losses[-1] < best_loss:
+            best_loss = val_losses[-1]
+            best = copy_params(params)
+            best_epoch = epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > config.patience:
+                break
+    return network.TrainResult(params=best, train_losses=train_losses,
+                               val_losses=val_losses, best_epoch=best_epoch)
+
+
+def train_both(train_batch, y_train, val_batch, y_val, config):
+    """network.train and the reference trainer on the same call; asserts that
+    they agree bit for bit and returns network.train's result."""
+    ours = network.train(train_batch, y_train, val_batch, y_val, config)
+    ref = reference_train(train_batch, y_train, val_batch, y_val, config)
+    for name in ref.params.trainable():
+        a, b = getattr(ours.params, name), getattr(ref.params, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert ours.train_losses == ref.train_losses
+    assert ours.val_losses == ref.val_losses
+    assert ours.best_epoch == ref.best_epoch
+    return ours
+
+
+def labelled_batch(seed, n, p=4, k=3):
+    rng = np.random.default_rng(seed)
+    batch = make_batch(rng, n=n, p=p, k=k)
+    y = (batch.x[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    return batch, y
+
+
 def test_attention_gate_hand_values():
     # the gated block h0[:, :p] of the forward pass is sigmoid(shap + delta) * x;
     # delta starts at zero, so the gate weight is the shap row itself
@@ -213,3 +311,47 @@ def test_config_validation():
         network.NetConfig(patience=-1)
     with pytest.raises(DataError):
         network.NetConfig(hidden_sizes=(50, 30, 10))
+
+
+@pytest.mark.parametrize("mode", ["shap", "random", "off"])
+@pytest.mark.parametrize("cluster", [True, False])
+def test_train_matches_reference_every_wiring(mode, cluster):
+    batch, y = labelled_batch(71, n=45)  # 45 % 8: a ragged last batch of 5
+    config = network.NetConfig(step_size=1e-2, batch_size=8, max_epochs=12, seed=73)
+    fit = wire(network.NetBatch(x=batch.x[:33], shap=batch.shap[:33], onehot=batch.onehot[:33]),
+               mode, cluster, config.seed)
+    val = wire(network.NetBatch(x=batch.x[33:], shap=batch.shap[33:], onehot=batch.onehot[33:]),
+               mode, cluster, config.seed)
+    train_both(fit, y[:33], val, y[33:], config)
+
+
+def test_train_matches_reference_last_batch_of_one():
+    batch, y = labelled_batch(79, n=41)
+    val, yv = labelled_batch(83, n=15)
+    config = network.NetConfig(step_size=1e-2, batch_size=8, max_epochs=10, seed=89)
+    assert batch.n % config.batch_size == 1
+    train_both(batch, y, val, yv, config)
+
+
+def test_train_matches_reference_patience_and_max_epochs_stops():
+    batch, y = labelled_batch(97, n=60)
+    val, _ = labelled_batch(101, n=30)
+    yv = np.random.default_rng(103).integers(0, 2, size=30).astype(float)  # noise
+    patience = network.NetConfig(step_size=1e-2, batch_size=16, patience=3,
+                                 max_epochs=200, seed=107)
+    stopped = train_both(batch, y, val, yv, patience)
+    assert len(stopped.val_losses) < patience.max_epochs
+    capped = network.NetConfig(step_size=1e-2, batch_size=16, patience=50,
+                               max_epochs=7, seed=107)
+    assert len(train_both(batch, y, val, yv, capped).val_losses) == capped.max_epochs
+
+
+def test_train_matches_reference_when_validating_on_training_set():
+    batch, y = labelled_batch(109, n=40)
+    config = network.NetConfig(step_size=1e-2, batch_size=16, max_epochs=15, seed=113)
+    result = train_both(batch, y, batch, y, config)
+    assert result.val_losses == result.train_losses
+    # the same batch with other labels is evaluated on its own
+    flipped = 1.0 - y
+    result = train_both(batch, y, batch, flipped, config)
+    assert result.val_losses != result.train_losses

@@ -67,6 +67,29 @@ def test_unknown_variant_rejected():
         small_config(variants=("full", "bogus"))
 
 
+def test_zero_gbm_trees_rejected():
+    # gbm.fit accepts 0 trees; an experiment on their all-zero attributions does not
+    with pytest.raises(UsageError, match="n_trees"):
+        small_config(gbm_config=gbm.GbmConfig(n_trees=0))
+
+
+def test_grid_k_outside_fit_fold_stops_before_fitting(diabetes_path, monkeypatch):
+    config = small_config()
+    prepared = pipeline.prepare(config, diabetes_path)
+    folds, _ = pipeline._cv_folds(prepared, config)
+    smallest = min(len(fit_rows) for fit_rows, _ in folds)
+    spec = kernel_kmeans.KernelSpec("linear")
+    pipeline.check_grid_fits(prepared, small_config(grid=[(spec, 1), (spec, smallest)]))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the grid check")
+
+    monkeypatch.setattr(pipeline.gbm, "fit", no_fit)
+    for k in (smallest + 1, 0):
+        with pytest.raises(UsageError, match=f"grid k \\[{k}\\]"):
+            pipeline.run_experiment(small_config(grid=[(spec, 2), (spec, k)]), diabetes_path)
+
+
 # ------------------------------------------------------------ run records
 
 def test_run_record_shape(small_record):
@@ -352,6 +375,30 @@ def test_emit_report_unwritable_dir(tmp_path, small_record):
     blocker.write_text("")
     with pytest.raises(UsageError, match="not writable"):
         pipeline.emit_report([small_record], blocker / "sub")
+
+
+def test_emit_report_crash_leaves_no_partial_file(tmp_path, small_record, monkeypatch):
+    out = tmp_path / "out"
+    pipeline.emit_report([small_record], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def dump_then_crash(obj, fh, **kwargs):
+        text = json.dumps(obj, **kwargs)
+        fh.write(text[: len(text) // 2])
+        raise RuntimeError("crash while writing the manifest")
+
+    monkeypatch.setattr(pipeline.json, "dump", dump_then_crash)
+    for target in (out, tmp_path / "fresh"):
+        with pytest.raises(RuntimeError, match="crash while writing"):
+            pipeline.emit_report([small_record], target)
+        # no temp file is left, and no half-written manifest takes the place
+        # of the old one (or appears where there was none)
+        assert not [p.name for p in target.iterdir() if p.name.endswith(".tmp")]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (tmp_path / "fresh" / "manifest.json").exists()
+    monkeypatch.undo()
+    pipeline.emit_report([small_record], tmp_path / "fresh")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()} == before
 
 
 def test_emit_report_empty_records():
