@@ -29,6 +29,7 @@ from .errors import DataError
 
 MAX_PATH_FEATURES = 12  # per-leaf unique-feature cap for the mask tables
 ORACLE_MAX_FEATURES = 15
+BACKGROUND_CAP = 1000  # background rows; more training rows are subsampled
 
 
 @dataclass
@@ -48,14 +49,14 @@ class Background:
             raise DataError("background must be a non-empty (m, p) matrix")
 
 
-def make_background(values, train_indices, cap=1000, seed=0):
-    """Training rows as the SHAP background, subsampled only above the cap."""
+def make_background(values, train_indices, seed=0):
+    """Training rows as the SHAP background, subsampled only above BACKGROUND_CAP."""
     train_indices = np.asarray(train_indices)
     if train_indices.size == 0:
         raise DataError("background must be a non-empty (m, p) matrix")
-    if train_indices.size > cap:
+    if train_indices.size > BACKGROUND_CAP:
         rng = np.random.default_rng([seed, 0xB6])
-        train_indices = np.sort(rng.choice(train_indices, size=cap, replace=False))
+        train_indices = np.sort(rng.choice(train_indices, size=BACKGROUND_CAP, replace=False))
     return Background(rows=np.asarray(values, dtype=np.float64)[train_indices])
 
 

@@ -96,7 +96,7 @@ def _grid_from_json(cells):
         if not (isinstance(cell, list) and len(cell) == 2):
             raise UsageError(f"grid cells must be [kernel_label, k] pairs, got {cell!r}")
         label, k = cell
-        grid.append((_spec_from_flag(label), int(k)))
+        grid.append((_spec_from_flag(label), k))
     return grid
 
 
@@ -161,6 +161,15 @@ def _print_record(record):
                   f"f1={r.f1:.3f} accuracy={r.accuracy:.3f} auc={r.auc:.3f}")
 
 
+def _write(out_dir, name, text):
+    """Write one file in out_dir atomically and report it."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with pipeline.atomic_open(path) as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 def cmd_run(args):
     config = load_config(args)
     path = dataset.resolve_data_path(config.dataset, args.data_path)
@@ -186,15 +195,11 @@ def cmd_cv(args):
         folds = " ".join(f"{v:.3f}" for v in cell.fold_f1) if cell.fold_f1 else cell.error
         print(f"{cell.kernel:<14} {cell.k:>2}  {cell.mean_f1:>8.4f}  {folds}{marker}")
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, f"{config.dataset}_cv_grid.csv")
         lines = ["kernel,k,mean_f1,fold_f1,error"]
         for cell in result.cells:
             folds = ";".join(repr(v) for v in cell.fold_f1)
             lines.append(f"{cell.kernel},{cell.k},{cell.mean_f1!r},{folds},{cell.error or ''}")
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {out}")
+        _write(args.out, f"{config.dataset}_cv_grid.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -203,12 +208,8 @@ def cmd_explain(args):
     path = dataset.resolve_data_path(config.dataset, args.data_path)
     prepared = pipeline.prepare(config, path)
     core = pipeline.fit_core(prepared, config)
-    os.makedirs(args.out, exist_ok=True)
     for split, sm in (("train", core.shap_train), ("test", core.shap_test)):
-        out = os.path.join(args.out, f"{config.dataset}_shap_{split}.csv")
-        with open(out, "w") as fh:
-            fh.write(attribution.shap_matrix_to_csv(sm))
-        print(f"wrote {out}")
+        _write(args.out, f"{config.dataset}_shap_{split}.csv", attribution.shap_matrix_to_csv(sm))
     print(f"base value {core.shap_train.base_value!r}")
     return 0
 
@@ -230,18 +231,14 @@ def cmd_cluster(args):
         spec, k = config.grid[result.best_index]
         print(f"selected kernel={spec.label()} k={k} by cross-validation")
     model, test_assignment = pipeline.refit_clusters(core, spec, k, config.master_seed)
-    os.makedirs(args.out, exist_ok=True)
-    out = os.path.join(args.out, f"{config.dataset}_clusters.csv")
     lines = ["row,split,cluster"]
     for row, c in zip(prepared.train_ids, model.assignment):
         lines.append(f"{row},train,{c}")
     for row, c in zip(prepared.test_ids, test_assignment):
         lines.append(f"{row},test,{c}")
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     sizes = ",".join(str(int(s)) for s in model.sizes)
     print(f"kernel={spec.label()} k={k} train cluster sizes [{sizes}]")
-    print(f"wrote {out}")
+    _write(args.out, f"{config.dataset}_clusters.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -286,6 +283,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # synth's --out names a file; every other --out is a report directory
+        if args.command != "synth" and getattr(args, "out", None) is not None:
+            pipeline.check_writable(args.out)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ canonical order first, which makes the fit invariant to input row order.
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class TreeEnsemble:
     trees: list[DecisionTree]
     learning_rate: float
     n_features: int
-    stage_losses: list[float] | None = field(default=None, repr=False)
 
     @property
     def n_trees(self):
@@ -78,11 +77,6 @@ class TreeEnsemble:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def _log_loss(y, margins):
-    # mean binary cross-entropy from margins, numerically stable
-    return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
 
 
 class _TreeBuilder:
@@ -166,7 +160,7 @@ class _TreeBuilder:
         return best[1], best[2]
 
 
-def fit(X, y, config, record_loss=False):
+def fit(X, y, config):
     """Fit a boosted ensemble on feature matrix X (n, p) and 0/1 labels y."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -185,20 +179,16 @@ def fit(X, y, config, record_loss=False):
     margins = np.full(y.size, base_margin)
     builder = _TreeBuilder(X, config.max_depth, config.min_samples_leaf)
     trees = []
-    losses = [_log_loss(y, margins)] if record_loss else None
     for _ in range(config.n_trees):
         p = _sigmoid(margins)
         tree = builder.build(residual=y - p, hessian=p * (1.0 - p))
         trees.append(tree)
         margins = margins + config.learning_rate * tree.predict(X)
-        if record_loss:
-            losses.append(_log_loss(y, margins))
     return TreeEnsemble(
         base_margin=base_margin,
         trees=trees,
         learning_rate=config.learning_rate,
         n_features=X.shape[1],
-        stage_losses=losses,
     )
 
 

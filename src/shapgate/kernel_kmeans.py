@@ -10,13 +10,14 @@ Ties everywhere break toward the lowest index.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
-DIST_CLAMP = -1e-9  # small negative values are float noise; below this is a bug
+MAX_ITER = 300  # Lloyd steps per restart
+N_RESTARTS = 10  # seeded restarts per fit; the lowest objective wins
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ def spec_from_label(label):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf; see _require_finite
 def kernel_matrix(spec, A, B=None):
     """Pairwise kernel values H(A_i, B_j), shape (len(A), len(B))."""
     A = np.asarray(A, dtype=np.float64)
@@ -102,6 +104,7 @@ def kernel_matrix(spec, A, B=None):
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_diag(spec, X):
     """H(X_i, X_i) for each row, in closed form: the diagonal of kernel_matrix(spec, X)."""
     X = np.asarray(X, dtype=np.float64)
@@ -113,6 +116,13 @@ def kernel_diag(spec, X):
     return (sq + spec.coef0) ** spec.degree
 
 
+def _require_finite(spec, *values):
+    """NumericalError on a non-finite kernel value: finite parameters can
+    still overflow, e.g. a high polynomial degree or a huge coef0."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NumericalError(f"kernel {spec.label()} gives non-finite values on these vectors")
+
+
 @dataclass
 class ClusterModel:
     spec: KernelSpec
@@ -121,7 +131,7 @@ class ClusterModel:
     assignment: np.ndarray  # (n,) cluster ids
     sizes: np.ndarray  # (k,) members per cluster
     pair_sums: np.ndarray  # (k,) sum_{j,l in c} H(x_j, x_l)
-    history: list[float] | None = field(default=None, repr=False)
+    objective: float  # total within-cluster feature-space sum of squares
 
 
 def _cluster_sums(K, assignment, k):
@@ -175,11 +185,11 @@ def _greedy_seed_assignment(K, k, rng):
     return np.argmin(dists, axis=1)
 
 
-def _lloyd(K, k, init_assignment, max_iter, record_history):
+def _lloyd(K, k, start, max_iter):
+    """Lloyd steps from the start assignment; (assignment, sizes, pair_sums, objective)."""
     n = K.shape[0]
     diag = np.diag(K).copy()
-    assignment = init_assignment.copy()
-    history = [] if record_history else None
+    assignment = start.copy()
     for _ in range(max_iter):
         sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
         if np.any(sizes == 0):
@@ -188,8 +198,6 @@ def _lloyd(K, k, init_assignment, max_iter, record_history):
             assignment = _repair_empty(assignment, dist_own, sizes.copy())
             sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
         d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
-        if record_history:
-            history.append(float(np.maximum(d[np.arange(n), assignment], 0.0).sum()))
         new_assignment = np.argmin(d, axis=1)
         if np.array_equal(new_assignment, assignment):
             break
@@ -197,76 +205,41 @@ def _lloyd(K, k, init_assignment, max_iter, record_history):
     sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
     d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
     obj = float(np.maximum(d[np.arange(n), assignment], 0.0).sum())
-    return assignment, sizes, pair_sums, obj, history
+    return assignment, sizes, pair_sums, obj
 
 
-def fit(vectors, k, spec, seed=0, max_iter=300, n_restarts=10,
-        init_assignment=None, record_history=False):
+def fit(vectors, k, spec, seed=0):
     """Kernel k-means; returns the best ClusterModel over seeded restarts."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
     if k < 1 or k > n:
         raise DataError(f"k={k} must be in [1, n={n}]")
-    if max_iter < 1:
-        raise DataError("max_iter must be >= 1")
     K = kernel_matrix(spec, vectors)
+    _require_finite(spec, K)
     best = None
-    if init_assignment is not None:
-        init_assignment = np.asarray(init_assignment, dtype=np.int64)
-        if init_assignment.shape != (n,) or init_assignment.min() < 0 or init_assignment.max() >= k:
-            raise DataError("init_assignment must map every row to a cluster in [0, k)")
-        starts = [init_assignment]
-    else:
-        starts = [
-            _greedy_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
-            for r in range(n_restarts)
-        ]
-    for start in starts:
-        assignment, sizes, pair_sums, obj, history = _lloyd(
-            K, k, start, max_iter, record_history
-        )
-        if best is None or obj < best[3]:
-            best = (assignment, sizes, pair_sums, obj, history)
-    assignment, sizes, pair_sums, _, history = best
+    for r in range(N_RESTARTS):
+        start = _greedy_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
+        run = _lloyd(K, k, start, MAX_ITER)
+        if best is None or run[3] < best[3]:
+            best = run
+    assignment, sizes, pair_sums, obj = best
     return ClusterModel(
         spec=spec, k=k, vectors=vectors, assignment=assignment,
-        sizes=sizes, pair_sums=pair_sums, history=history,
+        sizes=sizes, pair_sums=pair_sums, objective=obj,
     )
 
 
-def feature_distance2(model, x, cluster):
-    """Squared feature-space distance from x to the implicit centroid."""
-    if cluster < 0 or cluster >= model.k:
-        raise DataError(f"cluster {cluster} out of range for k={model.k}")
-    if model.sizes[cluster] == 0:
-        raise DataError(f"cluster {cluster} is empty")
-    x = np.asarray(x, dtype=np.float64)
-    kx = kernel_matrix(model.spec, x[None, :], model.vectors)[0]
-    kxx = kernel_diag(model.spec, x[None, :])[0]
-    members = model.assignment == cluster
-    size = float(model.sizes[cluster])
-    d = kxx - 2.0 * kx[members].sum() / size + model.pair_sums[cluster] / size**2
-    if d < DIST_CLAMP:
-        raise DataError(f"negative feature-space distance {d}")
-    return max(d, 0.0)
+def _centroid_dist2(model, X):
+    """(len(X), k) squared feature-space distances to the implicit centroids."""
+    X = np.asarray(X, dtype=np.float64)
+    Kx = kernel_matrix(model.spec, X, model.vectors)
+    diag = kernel_diag(model.spec, X)
+    _require_finite(model.spec, Kx, diag)
+    onehot = np.zeros((model.vectors.shape[0], model.k))
+    onehot[np.arange(model.vectors.shape[0]), model.assignment] = 1.0
+    return _point_cluster_dist2(diag, Kx @ onehot, model.sizes, model.pair_sums)
 
 
 def assign_batch(model, X):
     """Nearest implicit centroid per row; ties break toward the lowest cluster id."""
-    X = np.asarray(X, dtype=np.float64)
-    Kx = kernel_matrix(model.spec, X, model.vectors)
-    diag = kernel_diag(model.spec, X)
-    onehot = np.zeros((model.vectors.shape[0], model.k))
-    onehot[np.arange(model.vectors.shape[0]), model.assignment] = 1.0
-    cross = Kx @ onehot
-    d = _point_cluster_dist2(diag, cross, model.sizes, model.pair_sums)
-    return np.argmin(d, axis=1)
-
-
-def objective(model):
-    """Total within-cluster feature-space sum of squares."""
-    K = kernel_matrix(model.spec, model.vectors)
-    sizes, pair_sums, cross = _cluster_sums(K, model.assignment, model.k)
-    d = _point_cluster_dist2(np.diag(K).copy(), cross, sizes, pair_sums)
-    own = d[np.arange(model.vectors.shape[0]), model.assignment]
-    return float(np.maximum(own, 0.0).sum())
+    return np.argmin(_centroid_dist2(model, X), axis=1)

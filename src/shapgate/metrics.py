@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 AUC_AGREEMENT_TOL = 1e-12
+THRESHOLD = 0.5  # a row is predicted positive when its probability exceeds this
 
 
 @dataclass
@@ -26,7 +27,6 @@ class EvalReport:
     accuracy: float
     auc: float
     roc_points: list[tuple[float, float]]
-    threshold: float
     n: int
     degenerate_precision: bool = False
 
@@ -48,7 +48,6 @@ class ConfusionMetrics:
     recall: float
     f1: float
     accuracy: float
-    threshold: float
     n: int
     degenerate_precision: bool = False
 
@@ -61,8 +60,8 @@ def _check_binary_labels(labels):
     return labels.astype(np.int64)
 
 
-def classification_metrics(probabilities, labels, threshold=0.5):
-    """Support-weighted precision/recall/F1 plus accuracy at a fixed threshold.
+def classification_metrics(probabilities, labels):
+    """Support-weighted precision/recall/F1 plus accuracy at THRESHOLD.
 
     A class with no predicted members gets precision 0 and the
     ``degenerate_precision`` flag is set.
@@ -77,7 +76,7 @@ def classification_metrics(probabilities, labels, threshold=0.5):
     if not np.all(np.isfinite(probs)):
         raise NumericalError("non-finite probabilities")
 
-    preds = (probs > threshold).astype(np.int64)
+    preds = (probs > THRESHOLD).astype(np.int64)
     accuracy = float(np.mean(preds == labels))
 
     degenerate = False
@@ -109,7 +108,6 @@ def classification_metrics(probabilities, labels, threshold=0.5):
         recall=weighted["recall"],
         f1=weighted["f1"],
         accuracy=accuracy,
-        threshold=threshold,
         n=n,
         degenerate_precision=degenerate,
     )
@@ -188,9 +186,9 @@ def roc_auc(scores, labels):
     return auc_rank, points
 
 
-def evaluate(probabilities, labels, threshold=0.5):
+def evaluate(probabilities, labels):
     """Full EvalReport: thresholded metrics plus AUC/ROC."""
-    cm = classification_metrics(probabilities, labels, threshold)
+    cm = classification_metrics(probabilities, labels)
     auc, points = roc_auc(np.asarray(probabilities, dtype=np.float64), labels)
     return EvalReport(
         precision=cm.precision,
@@ -199,7 +197,6 @@ def evaluate(probabilities, labels, threshold=0.5):
         accuracy=cm.accuracy,
         auc=auc,
         roc_points=points,
-        threshold=threshold,
         n=cm.n,
         degenerate_precision=cm.degenerate_precision,
     )

@@ -88,6 +88,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset not in dataset.SCHEMAS:
             raise UsageError(f"unknown dataset {self.dataset!r}")
+        # integer settings must be integers: a float would be truncated or
+        # crash mid-run, and a bool is no number
+        counts = [("master_seed", self.master_seed), ("n_seeds", self.n_seeds),
+                  ("n_folds", self.n_folds), ("batch_size", self.batch_size),
+                  ("max_epochs", self.max_epochs), ("patience", self.patience)]
+        counts += [(f"gbm {name}", getattr(self.gbm_config, name))
+                   for name in ("n_trees", "max_depth", "min_samples_leaf")]
+        counts += [("grid k", k) for _, k in self.grid]
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise UsageError("master_seed must be >= 0")
         if self.n_seeds < 1:
             raise UsageError("n_seeds must be >= 1")
         unknown = [v for v in self.variants if v not in VARIANT_WIRING]
@@ -165,9 +178,7 @@ def fit_core(prepared, config):
     X = prepared.matrix.values
     y = prepared.matrix.labels
     ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], config.gbm_config)
-    bg = attribution.make_background(
-        X, prepared.train_ids, cap=1000, seed=child_seed(config.master_seed, 1)
-    )
+    bg = attribution.make_background(X, prepared.train_ids, seed=child_seed(config.master_seed, 1))
     shap_train = attribution.shap_matrix(ens, prepared.matrix, bg, rows=prepared.train_ids)
     shap_test = attribution.shap_matrix(ens, prepared.matrix, bg, rows=prepared.test_ids)
     return FittedCore(ensemble=ens, background=bg, shap_train=shap_train, shap_test=shap_test)
@@ -218,17 +229,14 @@ class GridCell:
 class GridResult:
     cells: list
     best_index: int
-    folds_seed: int
 
 
 def _cv_folds(prepared, config):
-    """The CV grid's (fit_rows, val_rows) folds of the training split, and their seed."""
-    folds_seed = child_seed(config.master_seed, 2)
-    folds = dataset.stratified_kfold(
+    """The CV grid's (fit_rows, val_rows) folds of the training split."""
+    return dataset.stratified_kfold(
         prepared.train_ids, prepared.matrix.labels,
-        dataset.SplitSpec(n_folds=config.n_folds, seed=folds_seed),
+        dataset.SplitSpec(n_folds=config.n_folds, seed=child_seed(config.master_seed, 2)),
     )
-    return folds, folds_seed
 
 
 def check_grid_fits(prepared, config):
@@ -237,7 +245,7 @@ def check_grid_fits(prepared, config):
 
     Such a cell can only fail, so the check runs before any model is fitted.
     """
-    folds, _ = _cv_folds(prepared, config)
+    folds = _cv_folds(prepared, config)
     smallest = min(len(fit_rows) for fit_rows, _ in folds)
     bad = sorted({k for _, k in config.grid if not 1 <= k <= smallest})
     if bad:
@@ -252,7 +260,7 @@ def run_cv_grid(prepared, core, config):
     y = prepared.matrix.labels
     train_ids = prepared.train_ids
     shap_rows = core.shap_train.values  # aligned with train_ids order
-    folds, folds_seed = _cv_folds(prepared, config)
+    folds = _cv_folds(prepared, config)
     cells = []
     for spec, k in config.grid:
         cell_tag = _name_tag(spec.label())
@@ -285,7 +293,7 @@ def run_cv_grid(prepared, core, config):
     if np.all(np.isnan(means)):
         raise DataError("every grid cell failed during cross-validation")
     best_index = int(np.argmax(np.where(np.isnan(means), -np.inf, means)))
-    return GridResult(cells=cells, best_index=best_index, folds_seed=folds_seed)
+    return GridResult(cells=cells, best_index=best_index)
 
 
 @dataclass
@@ -445,7 +453,7 @@ def records_from_manifest(manifest):
                 report = metrics.EvalReport(
                     precision=m["precision"], recall=m["recall"], f1=m["f1"],
                     accuracy=m["accuracy"], auc=m["auc"],
-                    roc_points=[], threshold=0.5, n=run["n_test"],
+                    roc_points=[], n=run["n_test"],
                 )
             variants[name] = VariantResult(
                 report=report,
@@ -546,7 +554,7 @@ def _record_manifest(record):
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
+def atomic_open(path):
     """Open a temp file beside `path` for writing and rename it into place
     on a clean exit, so a crash never leaves a half-written file."""
     directory, name = os.path.split(path)
@@ -561,18 +569,30 @@ def _atomic_open(path):
         raise
 
 
+def check_writable(out_dir):
+    """UsageError unless out_dir is a writable directory or can be made one.
+
+    The probe file goes in the nearest existing ancestor and is removed, so
+    the check creates nothing and can run before any data is read.
+    """
+    parent = os.path.abspath(out_dir)
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    probe = os.path.join(parent, f".write_probe.{os.getpid()}")
+    try:
+        with open(probe, "w"):
+            pass
+        os.remove(probe)
+    except OSError as e:
+        raise UsageError(f"output directory {out_dir!r} is not writable: {e}") from e
+
+
 def emit_report(records, out_dir):
     """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest."""
     if not records:
         raise DataError("no records to report")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as e:
-        raise UsageError(f"output directory {out_dir!r} is not writable: {e}") from e
+    check_writable(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     by_dataset = {}
     for record in records:
@@ -594,7 +614,7 @@ def emit_report(records, out_dir):
                     f"{variant},{med['precision']!r},{med['recall']!r},"
                     f"{med['f1']!r},{med['accuracy']!r},{med['auc']!r}"
                 )
-        with _atomic_open(csv_path) as fh:
+        with atomic_open(csv_path) as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(csv_path)
 
@@ -607,7 +627,7 @@ def emit_report(records, out_dir):
             roc_lines = ["fpr,tpr"]
             for fpr, tpr in vr.report.roc_points:
                 roc_lines.append(f"{fpr!r},{tpr!r}")
-            with _atomic_open(roc_path) as fh:
+            with atomic_open(roc_path) as fh:
                 fh.write("\n".join(roc_lines) + "\n")
             written.append(roc_path)
 
@@ -660,11 +680,11 @@ def emit_report(records, out_dir):
 
     manifest["runs"] = [_record_manifest(r) for r in records]
     summary_path = os.path.join(out_dir, "summary.md")
-    with _atomic_open(summary_path) as fh:
+    with atomic_open(summary_path) as fh:
         fh.write("\n".join(summary_lines) + "\n")
     written.append(summary_path)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with _atomic_open(manifest_path) as fh:
+    with atomic_open(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(manifest_path)

@@ -188,8 +188,8 @@ def test_criterion_03_kernel_kmeans_correctness():
         X = rng.normal(size=(n, p))
         X[: n // 2] += rng.uniform(1.0, 6.0)
         init = rng.integers(0, k, size=n)
-        model = kk.fit(X, k=k, spec=linear, init_assignment=init)
-        assert np.array_equal(model.assignment, _plain_kmeans(X, k, init))
+        assignment = kk._lloyd(kk.kernel_matrix(linear, X), k, init, kk.MAX_ITER)[0]
+        assert np.array_equal(assignment, _plain_kmeans(X, k, init))
 
     specs = [
         linear,
@@ -198,9 +198,18 @@ def test_criterion_03_kernel_kmeans_correctness():
     ]
     for s, spec in enumerate(specs):
         X = np.random.default_rng(1000 + s).normal(size=(60, 4))
-        model = kk.fit(X, k=4, spec=spec, seed=s, n_restarts=1, record_history=True)
-        assert len(model.history) >= 1
-        assert np.all(np.diff(np.asarray(model.history)) <= 1e-9)
+        K = kk.kernel_matrix(spec, X)
+        init = kk._greedy_seed_assignment(K, 4, np.random.default_rng([s, 0xC1, 0]))
+        # objective after 1, 2, ... Lloyd steps, until the assignment settles
+        objectives, previous = [], None
+        for steps in range(1, kk.MAX_ITER + 1):
+            assignment, _, _, obj = kk._lloyd(K, 4, init, steps)
+            objectives.append(obj)
+            if previous is not None and np.array_equal(assignment, previous):
+                break
+            previous = assignment
+        assert len(objectives) >= 1
+        assert np.all(np.diff(np.asarray(objectives)) <= 1e-9)
 
     poly2 = kk.KernelSpec("polynomial", degree=2, coef0=0.0)
     for trial in range(10):
@@ -208,12 +217,13 @@ def test_criterion_03_kernel_kmeans_correctness():
         X = rng.normal(size=(30, p))
         model = kk.fit(X, k=3, spec=poly2, seed=trial)
         mapped = _quad_map(X)
+        dist = kk._centroid_dist2(model, X)
+        assert np.all(dist >= -1e-9)
         for c in range(3):
             mean = mapped[model.assignment == c].mean(axis=0)
             for i in range(0, 30, 5):
                 explicit = float(((mapped[i] - mean) ** 2).sum())
-                got = kk.feature_distance2(model, X[i], c)
-                assert abs(got - explicit) <= TOL_POLY_DIST
+                assert abs(dist[i, c] - explicit) <= TOL_POLY_DIST
 
 
 # ------------------------------------------------------------- criterion 4

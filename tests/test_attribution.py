@@ -181,16 +181,16 @@ def test_background_validation():
 
 def test_make_background_cap_and_determinism():
     rng = np.random.default_rng(33)
-    values = rng.normal(size=(80, 3))
-    idx = np.arange(50)
-    bg_a = attribution.make_background(values, idx, cap=10, seed=4)
-    bg_b = attribution.make_background(values, idx, cap=10, seed=4)
-    assert bg_a.rows.shape == (10, 3)
+    values = rng.normal(size=(1300, 3))
+    idx = np.arange(1200)
+    bg_a = attribution.make_background(values, idx, seed=4)
+    bg_b = attribution.make_background(values, idx, seed=4)
+    assert bg_a.rows.shape == (attribution.BACKGROUND_CAP, 3)
     assert np.array_equal(bg_a.rows, bg_b.rows)
     rows_as_set = {tuple(r) for r in values[idx].tolist()}
     assert all(tuple(r) in rows_as_set for r in bg_a.rows.tolist())
-    bg_full = attribution.make_background(values, idx, cap=1000, seed=4)
-    assert np.array_equal(bg_full.rows, values[idx])
+    bg_full = attribution.make_background(values, idx[:50], seed=4)
+    assert np.array_equal(bg_full.rows, values[:50])
     with pytest.raises(DataError):
         attribution.make_background(values, np.array([], dtype=int))
 

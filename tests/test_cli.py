@@ -52,10 +52,22 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         {"patience": -1},
         {"holdout_fraction": 1.5},
         {"gbm": {"n_trees": 0}},  # zero trees give all-zero attributions
+        # a float or a bool where an integer is expected, and a negative seed
+        {"n_seeds": 1.5},
+        {"n_folds": 2.5},
+        {"batch_size": 2.5},
+        {"max_epochs": 1.5},
+        {"patience": True},
+        {"master_seed": -1},
+        {"grid": [["linear", 2.7]]},
+        {"gbm": {"n_trees": 2.5}},
+        {"gbm": {"max_depth": 2.5}},
+        {"gbm": {"min_samples_leaf": 1.5}},
     ]):
         path = tmp_path / f"settings{i}.json"
         path.write_text(json.dumps(settings))
         assert cli.main(["cv", "--dataset", "heart", "--config", str(path)]) == 1, settings
+    assert cli.main(["cv", "--dataset", "heart", "--seed", "-1"]) == 1
     # kernel labels whose number does not parse or is not finite
     for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "rbf_g1e999", "poly_d2_c1e999"):
         argv = ["cluster", "--dataset", "heart", "--kernel", label, "--k", "3"]
@@ -79,6 +91,31 @@ def test_grid_k_above_fit_fold_exits_1_before_fitting(capsys, tmp_path, heart_pa
     capsys.readouterr()
 
 
+def test_unwritable_out_exits_1_before_reading_data(capsys, tmp_path, heart_path, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("data was read before --out was checked")
+
+    monkeypatch.setattr(shapgate.dataset, "load_dataset", no_read)
+    monkeypatch.setattr(shapgate.gbm, "fit", no_read)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")  # a file as the parent of --out
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{not json")  # a data error (exit 2) if it were read first
+    common = ["--dataset", "heart", "--data-path", heart_path, "--out", out]
+    for argv in (
+        ["run", *common],
+        ["cv", *common],
+        ["explain", *common],
+        ["cluster", *common],
+        ["cluster", *common, "--kernel", "linear", "--k", "2"],
+        ["report", "--manifest", str(manifest), "--out", out],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert "not writable" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 def test_missing_data_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "nowhere.csv")
     assert cli.main(["run", "--dataset", "heart", "--data-path", missing]) == 2
@@ -86,7 +123,17 @@ def test_missing_data_file_exits_2(capsys, tmp_path):
     assert "data error" in err
 
 
-def test_numerical_failures_exit_3(monkeypatch, capsys):
+def test_numerical_failures_exit_3(monkeypatch, capsys, tmp_path, heart_path, fast_config):
+    # a finite kernel label whose values overflow on the attributions
+    out = tmp_path / "clusters"
+    assert cli.main([
+        "cluster", "--dataset", "heart", "--data-path", heart_path,
+        "--config", fast_config, "--kernel", "poly_d2_c1e200", "--k", "3",
+        "--out", str(out),
+    ]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
     def boom(args):
         raise TrainingDivergedError(3)
 

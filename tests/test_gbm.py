@@ -75,8 +75,14 @@ def test_stage_losses_non_increasing():
     X = rng.normal(size=(120, 5))
     logits = 1.5 * X[:, 0] - X[:, 3] + 0.3 * rng.normal(size=120)
     y = (logits > 0).astype(int)
-    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=30), record_loss=True)
-    losses = np.asarray(ens.stage_losses)
+    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=30))
+    # mean log loss after each stage, rebuilt from the fitted trees
+    margins = np.full(y.size, ens.base_margin)
+    losses = [np.mean(np.logaddexp(0.0, margins) - y * margins)]
+    for tree in ens.trees:
+        margins = margins + ens.learning_rate * tree.predict(X)
+        losses.append(np.mean(np.logaddexp(0.0, margins) - y * margins))
+    losses = np.asarray(losses)
     assert losses.size == 31
     p_bar = y.mean()
     first = -(p_bar * np.log(p_bar) + (1 - p_bar) * np.log(1 - p_bar))

@@ -3,7 +3,7 @@ import pytest
 
 from shapgate import kernel_kmeans as kk
 from shapgate import pipeline
-from shapgate.errors import DataError
+from shapgate.errors import DataError, NumericalError
 
 LINEAR = kk.KernelSpec("linear")
 
@@ -45,6 +45,18 @@ def plain_kmeans(X, k, init_assignment, max_iter=300):
         assignment = new
     inertia = float(((X - cents[assignment]) ** 2).sum())
     return assignment, inertia
+
+
+def lloyd_objectives(K, k, start):
+    """Objective after 1, 2, ... Lloyd steps from start, up to convergence."""
+    objectives, previous = [], None
+    for steps in range(1, kk.MAX_ITER + 1):
+        assignment, _, _, obj = kk._lloyd(K, k, start, steps)
+        objectives.append(obj)
+        if previous is not None and np.array_equal(assignment, previous):
+            break
+        previous = assignment
+    return objectives
 
 
 def quad_map(X):
@@ -140,18 +152,20 @@ def test_linear_distance_equals_explicit_mean():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 5))
     model = kk.fit(X, k=3, spec=LINEAR, seed=1)
+    d = kk._centroid_dist2(model, X)
+    assert d.shape == (40, 3) and np.all(d >= -1e-9)
     for c in range(3):
         mean = X[model.assignment == c].mean(axis=0)
         for i in range(0, 40, 7):
             explicit = float(((X[i] - mean) ** 2).sum())
-            assert kk.feature_distance2(model, X[i], c) == pytest.approx(explicit, abs=1e-9)
+            assert d[i, c] == pytest.approx(explicit, abs=1e-9)
 
 
 def test_singleton_cluster_self_distance_zero():
     X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     model = kk.fit(X, k=3, spec=LINEAR, seed=0)
     own = model.assignment[1]
-    assert kk.feature_distance2(model, X[1], int(own)) == 0.0
+    assert kk._centroid_dist2(model, X[1:2])[0, own] == 0.0
 
 
 def test_poly_d2_c0_matches_explicit_quadratic_map():
@@ -160,11 +174,13 @@ def test_poly_d2_c0_matches_explicit_quadratic_map():
     spec = kk.KernelSpec("polynomial", degree=2, coef0=0.0)
     model = kk.fit(X, k=3, spec=spec, seed=3)
     mapped = quad_map(X)
+    d = kk._centroid_dist2(model, X)
+    assert np.all(d >= -1e-9)
     for c in range(3):
         mean = mapped[model.assignment == c].mean(axis=0)
         for i in range(0, 24, 5):
             explicit = float(((quad_map(X[i : i + 1])[0] - mean) ** 2).sum())
-            assert kk.feature_distance2(model, X[i], c) == pytest.approx(explicit, abs=1e-9)
+            assert d[i, c] == pytest.approx(explicit, abs=1e-9)
 
 
 def test_separated_blobs_recovered_exactly():
@@ -181,7 +197,7 @@ def test_k_equals_n_gives_zero_objective():
     X = rng.normal(size=(12, 3))
     model = kk.fit(X, k=12, spec=LINEAR, seed=0)
     assert np.array_equal(np.sort(model.assignment), np.arange(12))
-    assert kk.objective(model) == 0.0
+    assert model.objective == 0.0
 
 
 def test_linear_kernel_matches_plain_kmeans_oracle():
@@ -190,28 +206,28 @@ def test_linear_kernel_matches_plain_kmeans_oracle():
         X = rng.normal(size=(50, 4)) + 3.0 * rng.integers(0, 3, size=(50, 1))
         init = rng.integers(0, 4, size=50)
         init[:4] = np.arange(4)  # every cluster starts non-empty
-        model = kk.fit(X, k=4, spec=LINEAR, init_assignment=init)
+        assignment, _, _, obj = kk._lloyd(kk.kernel_matrix(LINEAR, X), 4, init, kk.MAX_ITER)
         oracle_assign, oracle_inertia = plain_kmeans(X, 4, init)
-        assert np.array_equal(model.assignment, oracle_assign)
-        assert kk.objective(model) == pytest.approx(oracle_inertia, abs=1e-9)
+        assert np.array_equal(assignment, oracle_assign)
+        assert obj == pytest.approx(oracle_inertia, abs=1e-9)
 
 
 def test_lloyd_objective_monotone():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 4))
-    model = kk.fit(X, k=4, spec=kk.KernelSpec("radial", gamma=0.5),
-                   seed=2, n_restarts=1, record_history=True)
-    hist = np.asarray(model.history)
-    assert hist.size >= 1
-    assert np.all(np.diff(hist) <= 1e-9)
+    K = kk.kernel_matrix(kk.KernelSpec("radial", gamma=0.5), X)
+    start = kk._greedy_seed_assignment(K, 4, np.random.default_rng([2, 0xC1, 0]))
+    objectives = np.asarray(lloyd_objectives(K, 4, start))
+    assert objectives.size >= 1
+    assert np.all(np.diff(objectives) <= 1e-9)
 
 
 def test_empty_cluster_repair_keeps_k_clusters():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     init = np.array([0, 0, 1, 1])
-    model = kk.fit(X, k=3, spec=LINEAR, init_assignment=init)
-    assert np.unique(model.assignment).size == 3
-    assert np.all(model.sizes >= 1)
+    assignment, sizes, _, _ = kk._lloyd(kk.kernel_matrix(LINEAR, X), 3, init, kk.MAX_ITER)
+    assert np.unique(assignment).size == 3
+    assert np.all(sizes >= 1)
 
 
 def test_assign_fixed_point_and_center_query():
@@ -227,7 +243,7 @@ def test_assign_fixed_point_and_center_query():
 
 def test_assign_exact_tie_goes_to_cluster_zero():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    model = kk.fit(X, k=2, spec=LINEAR, init_assignment=np.array([0, 1]))
+    model = kk.fit(X, k=2, spec=LINEAR)
     assert kk.assign_batch(model, np.array([[0.0, 0.0]]))[0] == 0
 
 
@@ -237,9 +253,18 @@ def test_fit_determinism_and_restarts():
     a = kk.fit(X, k=3, spec=kk.KernelSpec("radial", gamma=1.0), seed=9)
     b = kk.fit(X, k=3, spec=kk.KernelSpec("radial", gamma=1.0), seed=9)
     assert np.array_equal(a.assignment, b.assignment)
-    single = kk.fit(X, k=3, spec=LINEAR, seed=9, n_restarts=1)
-    multi = kk.fit(X, k=3, spec=LINEAR, seed=9, n_restarts=10)
-    assert kk.objective(multi) <= kk.objective(single) + 1e-12
+    # fit keeps the lowest-objective run of the seeded restarts, the first on ties
+    K = kk.kernel_matrix(LINEAR, X)
+    runs = [
+        kk._lloyd(K, 3, kk._greedy_seed_assignment(K, 3, np.random.default_rng([9, 0xC1, r])),
+                  kk.MAX_ITER)
+        for r in range(kk.N_RESTARTS)
+    ]
+    best = min(runs, key=lambda run: run[3])
+    model = kk.fit(X, k=3, spec=LINEAR, seed=9)
+    assert np.array_equal(model.assignment, best[0])
+    assert model.objective == best[3]
+    assert model.objective <= runs[0][3]
 
 
 def test_fit_validation_errors():
@@ -247,6 +272,22 @@ def test_fit_validation_errors():
     with pytest.raises(DataError):
         kk.fit(X, k=6, spec=LINEAR)
     with pytest.raises(DataError):
-        kk.fit(X, k=2, spec=LINEAR, max_iter=0)
-    with pytest.raises(DataError):
-        kk.fit(X, k=2, spec=LINEAR, init_assignment=np.array([0, 1, 2, 0, 1]))
+        kk.fit(X, k=0, spec=LINEAR)
+
+
+@pytest.mark.parametrize("label", ["poly_d400_c1", "poly_d2_c1e200"])
+def test_overflowing_kernel_raises_numerical_error(label):
+    # finite parameters whose kernel values overflow to inf on these vectors
+    X = 3.0 * np.random.default_rng(0).normal(size=(20, 3))
+    spec = kk.spec_from_label(label)
+    assert not np.all(np.isfinite(kk.kernel_matrix(spec, X)))
+    with pytest.raises(NumericalError, match="non-finite"):
+        kk.fit(X, k=3, spec=spec, seed=0)
+
+
+def test_assign_batch_rejects_overflowing_rows():
+    X = np.random.default_rng(1).normal(size=(20, 3))
+    model = kk.fit(X, k=3, spec=kk.spec_from_label("poly_d40_c1"), seed=0)
+    assert kk.assign_batch(model, X).shape == (20,)
+    with pytest.raises(NumericalError):
+        kk.assign_batch(model, np.full((1, 3), 1e10))

@@ -124,6 +124,6 @@ def test_roc_points_monotone_and_anchored():
 def test_evaluate_bundles_everything():
     rep = evaluate([0.9, 0.4, 0.4, 0.1], [1, 1, 0, 0])
     assert rep.n == 4
-    assert rep.threshold == 0.5
+    assert rep.accuracy == 0.75  # 0.4 is below the 0.5 threshold: one positive missed
     assert 0.0 <= rep.auc <= 1.0
     assert rep.recall == pytest.approx(rep.accuracy)

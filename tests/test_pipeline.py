@@ -76,7 +76,7 @@ def test_zero_gbm_trees_rejected():
 def test_grid_k_outside_fit_fold_stops_before_fitting(diabetes_path, monkeypatch):
     config = small_config()
     prepared = pipeline.prepare(config, diabetes_path)
-    folds, _ = pipeline._cv_folds(prepared, config)
+    folds = pipeline._cv_folds(prepared, config)
     smallest = min(len(fit_rows) for fit_rows, _ in folds)
     spec = kernel_kmeans.KernelSpec("linear")
     pipeline.check_grid_fits(prepared, small_config(grid=[(spec, 1), (spec, smallest)]))
@@ -135,12 +135,16 @@ def test_duplicated_grid_cell_identical_mean_f1(small_parts):
 
 def test_cv_failure_recorded_not_raised(small_parts):
     _, prepared, core = small_parts
-    # k larger than any fit fold makes the second cell fail
-    config = small_config(grid=[SMALL_GRID[0], (kernel_kmeans.KernelSpec("linear"), 5000)])
+    # k larger than any fit fold makes the second cell fail; the third has
+    # finite parameters, but its kernel values overflow to inf
+    config = small_config(grid=[SMALL_GRID[0], (kernel_kmeans.KernelSpec("linear"), 5000),
+                                (kernel_kmeans.spec_from_label("poly_d2_c1e200"), 2)])
     result = pipeline.run_cv_grid(prepared, core, config)
     assert result.cells[0].error is None
     assert result.cells[1].error is not None
     assert np.isnan(result.cells[1].mean_f1)
+    assert "non-finite" in result.cells[2].error
+    assert np.isnan(result.cells[2].mean_f1)
     assert result.best_index == 0
 
 
