@@ -1,4 +1,4 @@
-"""Interventional SHAP attributions for tree ensembles, plus an exact oracle.
+"""Interventional SHAP attributions for tree ensembles.
 
 The value function is v(S) = mean over background rows z of the ensemble
 margin on the composite point taking x on S and z off S. Attributions are in
@@ -14,9 +14,6 @@ two-sided unanimity game whose Shapley values have closed forms
     j in B: -value * a! (b-1)! / (a+b)!
 with a = |A|, b = |B|. Summing over leaves, trees, and background rows gives
 the exact interventional SHAP in time polynomial in depth and data size.
-
-exact_shapley_oracle evaluates the Shapley sum over all 2^p coalitions and is
-the reference the fast path is tested against.
 """
 
 import math
@@ -28,7 +25,6 @@ from . import gbm
 from .errors import DataError
 
 MAX_PATH_FEATURES = 12  # per-leaf unique-feature cap for the mask tables
-ORACLE_MAX_FEATURES = 15
 BACKGROUND_CAP = 1000  # background rows; more training rows are subsampled
 
 
@@ -163,38 +159,6 @@ def shap_matrix(ensemble, matrix, bg, rows=None):
         _accumulate_tree(phi, tree, X, bg.rows, ensemble.learning_rate)
     base_value = float(gbm.predict_margin_batch(ensemble, bg.rows).mean())
     return ShapMatrix(values=phi, base_value=base_value, feature_names=feature_names)
-
-
-def exact_shapley_oracle(ensemble, x, bg):
-    """Brute-force Shapley values over all 2^p coalitions, as a one-row ShapMatrix.
-
-    Testing aid: the reference the fast path is checked against.
-    """
-    p = ensemble.n_features
-    if p > ORACLE_MAX_FEATURES:
-        raise DataError(f"exact oracle refuses p={p} > {ORACLE_MAX_FEATURES} features")
-    x = np.asarray(x, dtype=np.float64)
-    X = _check_inputs(ensemble, x[None, :], bg)
-    x = X[0]
-    bgr = bg.rows
-    m = bgr.shape[0]
-    masks = np.arange(1 << p)
-    bits = (masks[:, None] >> np.arange(p)[None, :]) & 1
-    v = np.empty(1 << p)
-    chunk = 2048
-    for s in range(0, 1 << p, chunk):
-        take_x = bits[s : s + chunk].astype(bool)
-        hybrid = np.where(take_x[:, None, :], x[None, None, :], bgr[None, :, :])
-        margins = gbm.predict_margin_batch(ensemble, hybrid.reshape(-1, p))
-        v[s : s + chunk] = margins.reshape(-1, m).mean(axis=1)
-    sizes = bits.sum(axis=1)
-    fact = [math.factorial(k) for k in range(p + 1)]
-    weight = np.array([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])
-    phi = np.empty(p)
-    for i in range(p):
-        without = np.flatnonzero(((masks >> i) & 1) == 0)
-        phi[i] = np.sum(weight[sizes[without]] * (v[without | (1 << i)] - v[without]))
-    return ShapMatrix(values=phi[None, :], base_value=float(v[0]))
 
 
 def shap_matrix_to_csv(sm):

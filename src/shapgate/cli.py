@@ -225,6 +225,8 @@ def cmd_cluster(args):
     prepared = pipeline.prepare(config, path)
     if spec is None:
         pipeline.check_grid_fits(prepared, config)
+    else:
+        pipeline.check_final_fit(prepared, k)
     core = pipeline.fit_core(prepared, config)
     if spec is None:
         result = pipeline.run_cv_grid(prepared, core, config)

@@ -134,12 +134,18 @@ class ClusterModel:
     objective: float  # total within-cluster feature-space sum of squares
 
 
+def onehot(assignment, k):
+    """(len(assignment), k) indicator matrix: row i is 1.0 in column assignment[i]."""
+    out = np.zeros((len(assignment), k))
+    out[np.arange(len(assignment)), assignment] = 1.0
+    return out
+
+
 def _cluster_sums(K, assignment, k):
-    onehot = np.zeros((K.shape[0], k))
-    onehot[np.arange(K.shape[0]), assignment] = 1.0
-    sizes = onehot.sum(axis=0)
-    cross = K @ onehot  # cross[i, c] = sum_{j in c} K[i, j]
-    pair_sums = np.einsum("ic,ic->c", onehot, cross)
+    members = onehot(assignment, k)
+    sizes = members.sum(axis=0)
+    cross = K @ members  # cross[i, c] = sum_{j in c} K[i, j]
+    pair_sums = np.einsum("ic,ic->c", members, cross)
     return sizes, pair_sums, cross
 
 
@@ -200,10 +206,12 @@ def _lloyd(K, k, start, max_iter):
         d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
         new_assignment = np.argmin(d, axis=1)
         if np.array_equal(new_assignment, assignment):
-            break
+            break  # converged: the sums and distances above are this assignment's
         assignment = new_assignment
-    sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
-    d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
+    else:
+        # max_iter ran out: score the last assignment as it stands, unrepaired
+        sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
+        d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
     obj = float(np.maximum(d[np.arange(n), assignment], 0.0).sum())
     return assignment, sizes, pair_sums, obj
 
@@ -235,9 +243,8 @@ def _centroid_dist2(model, X):
     Kx = kernel_matrix(model.spec, X, model.vectors)
     diag = kernel_diag(model.spec, X)
     _require_finite(model.spec, Kx, diag)
-    onehot = np.zeros((model.vectors.shape[0], model.k))
-    onehot[np.arange(model.vectors.shape[0]), model.assignment] = 1.0
-    return _point_cluster_dist2(diag, Kx @ onehot, model.sizes, model.pair_sums)
+    return _point_cluster_dist2(diag, Kx @ onehot(model.assignment, model.k),
+                                model.sizes, model.pair_sums)
 
 
 def assign_batch(model, X):

@@ -119,15 +119,11 @@ def _rank_auc(scores, labels):
     n_neg = int(np.sum(labels == 0))
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    # tie group [first, last] of the ascending scores; its 1-based mid-rank
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], len(scores)] - 1
     ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # mid-rank for the tie group [i, j], 1-based ranks
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -139,19 +135,11 @@ def _roc_curve(scores, labels):
     n_neg = int(np.sum(labels == 0))
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
-    y = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(np.sum(y[i : j + 1] == 1))
-        fp += int(np.sum(y[i : j + 1] == 0))
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return points
+    # one point per threshold: the end of each tie group of the descending scores
+    ends = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
+    tp = np.cumsum(labels[order])[ends]
+    fp = ends + 1 - tp
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 def _trapezoid_auc(points):

@@ -28,6 +28,8 @@ HIDDEN_SIZES = (50, 30)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# NetParams' trainable groups, in the order train() lays them end to end
+PARAM_GROUPS = ("delta", "W1", "b1", "W2", "b2", "W3", "b3")
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,6 @@ class NetParams:
     b2: np.ndarray
     W3: np.ndarray
     b3: np.ndarray
-
-    def trainable(self):
-        return ("delta", "W1", "b1", "W2", "b2", "W3", "b3")
 
 
 @dataclass
@@ -178,7 +177,7 @@ def loss_and_grads(params, batch, y, out=None):
     """
     y = np.asarray(y, dtype=np.float64)
     if out is None:
-        out = {k: np.empty_like(getattr(params, k)) for k in params.trainable()}
+        out = {k: np.empty_like(getattr(params, k)) for k in PARAM_GROUPS}
     logit, cache = _forward_full(params, batch)
     return bce_loss(logit, y), _backward(params, batch, logit, cache, y, out)
 
@@ -243,7 +242,7 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
         raise DataError("training labels are single-class")
     init = init_params(train_batch.x.shape[1], config,
                        n_clusters=0 if train_batch.onehot is None else train_batch.onehot.shape[1])
-    shapes = [(k, getattr(init, k).shape) for k in init.trainable()]
+    shapes = [(k, getattr(init, k).shape) for k in PARAM_GROUPS]
     flat = np.concatenate([getattr(init, k).ravel() for k, _ in shapes])
     params = NetParams(**_group_views(flat, shapes))
     grad = np.zeros_like(flat)

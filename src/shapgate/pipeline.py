@@ -184,12 +184,6 @@ def fit_core(prepared, config):
     return FittedCore(ensemble=ens, background=bg, shap_train=shap_train, shap_test=shap_test)
 
 
-def _onehot(assignment, k):
-    out = np.zeros((len(assignment), k))
-    out[np.arange(len(assignment)), assignment] = 1.0
-    return out
-
-
 def _fold_parts(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
     """Fit clusters on fit-row attributions; out-of-sample assign the val rows.
 
@@ -197,8 +191,8 @@ def _fold_parts(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
     """
     model = kernel_kmeans.fit(shap_fit, k=k, spec=spec, seed=cluster_seed)
     val_assignment = kernel_kmeans.assign_batch(model, shap_val)
-    return ((X_fit, shap_fit, _onehot(model.assignment, k)),
-            (X_val, shap_val, _onehot(val_assignment, k)))
+    return ((X_fit, shap_fit, kernel_kmeans.onehot(model.assignment, k)),
+            (X_val, shap_val, kernel_kmeans.onehot(val_assignment, k)))
 
 
 def _variant_batch(variant, net_seed, x, shap, onehot):
@@ -245,13 +239,20 @@ def check_grid_fits(prepared, config):
 
     Such a cell can only fail, so the check runs before any model is fitted.
     """
-    folds = _cv_folds(prepared, config)
-    smallest = min(len(fit_rows) for fit_rows, _ in folds)
-    bad = sorted({k for _, k in config.grid if not 1 <= k <= smallest})
+    smallest = min(len(fit_rows) for fit_rows, _ in _cv_folds(prepared, config))
+    _check_k("grid k", [k for _, k in config.grid], smallest, "the smallest CV fit fold")
+
+
+def check_final_fit(prepared, k):
+    """UsageError when an explicit k is below 1 or above the training rows,
+    which the final cluster refit uses; checked before any model is fitted."""
+    _check_k("k", [k], prepared.train_ids.size, "the training split")
+
+
+def _check_k(name, ks, rows, where):
+    bad = sorted({k for k in ks if not 1 <= k <= rows})
     if bad:
-        raise UsageError(
-            f"grid k {bad} outside [1, {smallest}], the rows of the smallest CV fit fold"
-        )
+        raise UsageError(f"{name} {bad} outside [1, {rows}], the rows of {where}")
 
 
 def run_cv_grid(prepared, core, config):
@@ -281,7 +282,8 @@ def run_cv_grid(prepared, core, config):
                 val_batch = _variant_batch("full", net_cfg.seed, *val_parts)
                 result = network.train(fit_batch, y[fit_rows], val_batch, y[val_rows], net_cfg)
                 probs = network.predict(result.params, val_batch)
-                fold_f1.append(metrics.evaluate(probs, y[val_rows]).f1)
+                # stratified folds hold both classes, so F1 alone needs no AUC
+                fold_f1.append(metrics.classification_metrics(probs, y[val_rows]).f1)
             mean_f1 = float(np.mean(fold_f1))
         except ShapgateError as e:
             error = str(e)
@@ -328,8 +330,8 @@ def run_final(prepared, core, spec, k, config):
     y = prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
     cluster_model, test_assignment = refit_clusters(core, spec, k, config.master_seed)
-    train_parts = (X[tr], core.shap_train.values, _onehot(cluster_model.assignment, k))
-    test_parts = (X[te], core.shap_test.values, _onehot(test_assignment, k))
+    train_parts = (X[tr], core.shap_train.values, kernel_kmeans.onehot(cluster_model.assignment, k))
+    test_parts = (X[te], core.shap_test.values, kernel_kmeans.onehot(test_assignment, k))
     shap_hash = _gate_hash(core)
     results = {}
     for variant in config.variants:
@@ -560,7 +562,7 @@ def atomic_open(path):
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -16,6 +16,7 @@ the genuine UCI files for any comparison against published numbers.
 import numpy as np
 
 from .dataset import SCHEMAS
+from .pipeline import atomic_open
 
 
 def _yes_no(rng, p):
@@ -186,12 +187,14 @@ _GENERATORS = {"diabetes": synth_diabetes, "heart": synth_heart, "credit": synth
 
 
 def write_synthetic(dataset, path, seed=20240):
-    """Write a stand-in file for `dataset` at `path`; returns the path."""
+    """Write a stand-in file for `dataset` at `path`; returns the path.
+
+    The file is written atomically: a failure leaves any previous file as it was."""
     gen = _GENERATORS[dataset]
     rng = np.random.default_rng([seed, sum(map(ord, dataset))])
     rows = gen(rng)
     sch = SCHEMAS[dataset]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         if sch.has_header:
             fh.write(",".join(sch.column_names) + "\n")
         for row in rows:

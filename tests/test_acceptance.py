@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import exact_shapley_oracle
 from shapgate import attribution, gbm, network, pipeline
 from shapgate import kernel_kmeans as kk
 
@@ -130,7 +131,7 @@ def test_criterion_02_tree_shap_matches_exact_oracle():
         bg = attribution.Background(X[: int(rng.integers(1, 21))])
         x = X[int(rng.integers(n))]
         fast = attribution.shap_matrix(ensemble, x[None, :], bg)
-        exact = attribution.exact_shapley_oracle(ensemble, x, bg)
+        exact = exact_shapley_oracle(ensemble, x, bg)
         assert abs(fast.base_value - exact.base_value) <= TOL_ORACLE
         assert float(np.max(np.abs(fast.values - exact.values))) <= TOL_ORACLE
 
@@ -231,7 +232,7 @@ def test_criterion_03_kernel_kmeans_correctness():
 def _max_relative_gradient_error(params, batch, y, step=1e-5):
     _, grads = network.loss_and_grads(params, batch, y)
     worst = 0.0
-    for name in params.trainable():
+    for name in network.PARAM_GROUPS:
         arr = getattr(params, name)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import exact_shapley_oracle
 from shapgate import attribution, gbm
 from shapgate.errors import DataError
 
@@ -104,7 +105,7 @@ def test_oracle_matches_hand_stump():
     ens = manual_stump()
     bg = attribution.Background(rows=np.array([[1.0, 0, 0], [2.0, 5, 5]]))
     x = np.array([-1.0, 9.0, 9.0])
-    sv = attribution.exact_shapley_oracle(ens, x, bg)
+    sv = exact_shapley_oracle(ens, x, bg)
     phi = sv.values[0]
     assert phi[0] == pytest.approx(margin_of(ens, x) - sv.base_value, abs=1e-12)
     assert abs(phi[1]) < 1e-15 and abs(phi[2]) < 1e-15
@@ -124,7 +125,7 @@ def test_oracle_equivalence_100_trials():
         bg = attribution.Background(rows=X[: 5 + trial % 16])
         x = X[int(rng.integers(X.shape[0]))]
         fast = shap_row(ens, x, bg)
-        slow = attribution.exact_shapley_oracle(ens, x, bg)
+        slow = exact_shapley_oracle(ens, x, bg)
         assert fast.base_value == pytest.approx(slow.base_value, abs=1e-9)
         worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
         for tree in ens.trees:
@@ -199,7 +200,7 @@ def test_oracle_feature_count_guard():
     ens = gbm.TreeEnsemble(base_margin=0.0, trees=[], learning_rate=0.1, n_features=16)
     bg = attribution.Background(rows=np.zeros((2, 16)))
     with pytest.raises(DataError):
-        attribution.exact_shapley_oracle(ens, np.zeros(16), bg)
+        exact_shapley_oracle(ens, np.zeros(16), bg)
 
 
 def test_csv_export_roundtrip():

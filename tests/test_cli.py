@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import shapgate
-from shapgate import cli, dataset, kernel_kmeans, pipeline
+from shapgate import cli, dataset, kernel_kmeans, pipeline, synth
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
 
@@ -91,6 +91,24 @@ def test_grid_k_above_fit_fold_exits_1_before_fitting(capsys, tmp_path, heart_pa
     capsys.readouterr()
 
 
+def test_explicit_k_outside_training_rows_exits_1_before_fitting(capsys, tmp_path, heart_path,
+                                                                   fast_config, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the k check")
+
+    monkeypatch.setattr(shapgate.gbm, "fit", no_fit)
+    n_train = pipeline.prepare(pipeline.ExperimentConfig(dataset="heart"), heart_path).train_ids.size
+    common = ["cluster", "--dataset", "heart", "--data-path", heart_path, "--config", fast_config,
+              "--out", str(tmp_path / "out"), "--kernel", "linear"]
+    for k in (0, n_train + 1):
+        assert cli.main([*common, "--k", str(k)]) == 1
+        assert f"k [{k}] outside [1, {n_train}]" in capsys.readouterr().err
+    # the largest valid k gets past the check, as far as the first fit
+    with pytest.raises(AssertionError, match="gbm.fit ran"):
+        cli.main([*common, "--k", str(n_train)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_out_exits_1_before_reading_data(capsys, tmp_path, heart_path, monkeypatch):
     def no_read(*args, **kwargs):
         raise AssertionError("data was read before --out was checked")
@@ -152,6 +170,24 @@ def test_synth_writes_parseable_file(capsys, tmp_path):
     assert cli.main(["synth", "--dataset", "heart", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "processed.cleveland.data").is_file()
     capsys.readouterr()
+
+
+def test_synth_failure_leaves_existing_file_untouched(monkeypatch, tmp_path):
+    out = tmp_path / "processed.cleveland.data"
+    synth.write_synthetic("heart", out)
+    before = out.read_bytes()
+    real = synth._GENERATORS["heart"]
+
+    def bad_row_partway(rng):
+        rows = real(rng)
+        rows[150] = [None] * len(rows[150])  # not text: the join fails mid-write
+        return rows
+
+    monkeypatch.setitem(synth._GENERATORS, "heart", bad_row_partway)
+    with pytest.raises(TypeError):
+        synth.write_synthetic("heart", out, seed=7)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_run_emits_report_files(capsys, tmp_path, heart_path, fast_config):

@@ -222,6 +222,36 @@ def test_lloyd_objective_monotone():
     assert np.all(np.diff(objectives) <= 1e-9)
 
 
+@pytest.mark.parametrize("spec", [
+    LINEAR, kk.KernelSpec("polynomial", degree=3, coef0=1.0), kk.KernelSpec("radial", gamma=0.5),
+], ids=lambda spec: spec.kind)
+def test_lloyd_returns_the_sums_of_its_assignment(spec):
+    """Converged or cut off by max_iter, _lloyd's sizes, pair sums and objective
+    are bit for bit those of a fresh computation on the assignment it returns."""
+    k = 4
+    rng = np.random.default_rng(37)
+    cut_short = 0  # max_iter=1 runs that certainly stopped before converging
+    for trial in range(6):
+        X = rng.normal(size=(int(rng.integers(12, 50)), 3))
+        K = kk.kernel_matrix(spec, X)
+        diag = np.diag(K).copy()
+        seeded = kk._greedy_seed_assignment(K, k, np.random.default_rng([trial, 0xC1, 0]))
+        sparse = rng.integers(0, k - 1, size=X.shape[0])  # cluster k-1 starts empty
+        for start in (seeded, sparse):
+            converged = kk._lloyd(K, k, start, kk.MAX_ITER)
+            assert np.array_equal(kk._lloyd(K, k, converged[0], 1)[0], converged[0])
+            exhausted = kk._lloyd(K, k, start, 1)
+            cut_short += not np.array_equal(kk._lloyd(K, k, exhausted[0], 1)[0], exhausted[0])
+            for assignment, sizes, pair_sums, obj in (converged, exhausted):
+                fresh_sizes, fresh_pair_sums, cross = kk._cluster_sums(K, assignment, k)
+                d = kk._point_cluster_dist2(diag, cross, fresh_sizes, fresh_pair_sums)
+                fresh_obj = float(np.maximum(d[np.arange(X.shape[0]), assignment], 0.0).sum())
+                assert sizes.tobytes() == fresh_sizes.tobytes()
+                assert pair_sums.tobytes() == fresh_pair_sums.tobytes()
+                assert repr(obj) == repr(fresh_obj)
+    assert cut_short > 0
+
+
 def test_empty_cluster_repair_keeps_k_clusters():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     init = np.array([0, 0, 1, 1])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shapgate.errors import DataError
+from oracles import loop_rank_auc, loop_roc_curve
+from shapgate import metrics
+from shapgate.errors import DataError, NumericalError
 from shapgate.metrics import classification_metrics, evaluate, roc_auc
 
 
@@ -127,3 +129,34 @@ def test_evaluate_bundles_everything():
     assert rep.accuracy == 0.75  # 0.4 is below the 0.5 threshold: one positive missed
     assert 0.0 <= rep.auc <= 1.0
     assert rep.recall == pytest.approx(rep.accuracy)
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores drawn from a few levels, so most values tie; both classes present."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=6))
+    scores = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    if min(labels) == max(labels):
+        labels[0] = 1 - labels[0]
+    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_scores())
+@example((np.array([0.4, 0.4]), np.array([0, 1])))  # n = 2, one tie group
+@example((np.array([0.7, 0.1]), np.array([1, 0])))  # n = 2, no tie
+@example((np.full(7, 0.25), np.array([1, 0, 0, 1, 1, 0, 1])))  # all tied
+@example((np.array([0.0, -0.0, 0.0, 0.5, -0.0]), np.array([1, 0, 0, 1, 1])))  # signed zeros tie
+def test_array_auc_routes_match_the_loops(case):
+    scores, labels = case
+    assert repr(metrics._rank_auc(scores, labels)) == repr(loop_rank_auc(scores, labels))
+    assert repr(metrics._roc_curve(scores, labels)) == repr(loop_roc_curve(scores, labels))
+
+
+def test_auc_routes_disagreeing_by_1e9_raise(monkeypatch):
+    exact = metrics._trapezoid_auc
+    monkeypatch.setattr(metrics, "_trapezoid_auc", lambda points: exact(points) + 1e-9)
+    with pytest.raises(NumericalError, match="disagree"):
+        roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])

@@ -38,7 +38,7 @@ def plain_mlp_forward(params, X):
 
 def finite_difference_check(params, batch, y, step=1e-5, rel_tol=1e-4):
     _, grads = network.loss_and_grads(params, batch, y)
-    for name in params.trainable():
+    for name in network.PARAM_GROUPS:
         arr = getattr(params, name)
         analytic = grads[name]
         it = np.nditer(arr, flags=["multi_index"])
@@ -77,7 +77,7 @@ def reference_loss_and_grads(params, batch, y):
 
 
 def copy_params(params):
-    return network.NetParams(**{k: getattr(params, k).copy() for k in params.trainable()})
+    return network.NetParams(**{k: getattr(params, k).copy() for k in network.PARAM_GROUPS})
 
 
 def reference_train(train_batch, train_labels, val_batch, val_labels, config):
@@ -88,7 +88,7 @@ def reference_train(train_batch, train_labels, val_batch, val_labels, config):
     y_val = np.asarray(val_labels, dtype=np.float64)
     params = network.init_params(train_batch.x.shape[1], config,
                                  n_clusters=0 if train_batch.onehot is None else train_batch.onehot.shape[1])
-    names = params.trainable()
+    names = network.PARAM_GROUPS
     moment1 = {k: np.zeros_like(getattr(params, k)) for k in names}
     moment2 = {k: np.zeros_like(getattr(params, k)) for k in names}
     step = 0
@@ -138,7 +138,7 @@ def train_both(train_batch, y_train, val_batch, y_val, config):
     they agree bit for bit and returns network.train's result."""
     ours = network.train(train_batch, y_train, val_batch, y_val, config)
     ref = reference_train(train_batch, y_train, val_batch, y_val, config)
-    for name in ref.params.trainable():
+    for name in network.PARAM_GROUPS:
         a, b = getattr(ours.params, name), getattr(ref.params, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert ours.train_losses == ref.train_losses
@@ -180,7 +180,7 @@ def test_zero_params_output_half():
     batch = make_batch(rng)
     config = network.NetConfig(seed=0)
     params = network.init_params(4, config, n_clusters=2)
-    for name in params.trainable():
+    for name in network.PARAM_GROUPS:
         getattr(params, name)[...] = 0.0
     probs = network.predict(params, batch)
     assert np.all(probs == 0.5)
@@ -248,7 +248,7 @@ def test_training_determinism():
     config = network.NetConfig(seed=31, max_epochs=12, batch_size=8)
     a = network.train(batch, y, batch, y, config)
     b = network.train(batch, y, batch, y, config)
-    for name in a.params.trainable():
+    for name in network.PARAM_GROUPS:
         assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
     assert a.train_losses == b.train_losses
 
