@@ -7,6 +7,15 @@ midpoints between consecutive distinct sorted feature values, so fitting is
 exact and deterministic at this data scale. Training rows are brought into a
 canonical order first, which makes the fit invariant to input row order.
 
+Split search covers every feature at once. The rows are presorted once per
+fit into a (p, N) matrix of row indices, one row per feature, next to the
+matching sorted values; a node filters both by membership. It takes one
+sequential cumsum of the sorted residuals along each feature row, scores the
+cuts between distinct neighbouring values that leave min_samples_leaf rows on
+each side, and keeps the first maximum in feature-major order: the lowest
+feature index, then the smallest cut. That is the cut a per-feature loop with
+a strict > over ascending features picks, with the same gain bits.
+
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
 
@@ -84,8 +93,10 @@ class _TreeBuilder:
         self.X = X
         self.max_depth = max_depth
         self.min_leaf = min_samples_leaf
-        # presorted row order per feature; node searches filter it by membership
-        self.order = [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+        # (p, N) presort: row j of order lists the rows in ascending order of
+        # feature j, and row j of sorted_values their values of feature j
+        self.order = np.argsort(X.T, axis=1, kind="stable")
+        self.sorted_values = np.take_along_axis(X.T, self.order, axis=1)
 
     def build(self, residual, hessian):
         self.residual = residual
@@ -131,33 +142,44 @@ class _TreeBuilder:
         return node_id
 
     def _best_split(self, rows):
+        """(feature, threshold) of the best cut over every feature at once, or None."""
         member = np.zeros(self.X.shape[0], dtype=bool)
         member[rows] = True
-        n = rows.size
+        # the members' positions in the presort, feature-major; every presort
+        # row holds each member once, so the (p, n) reshapes are exact
+        keep = np.flatnonzero(member.take(self.order))
+        p, n = self.order.shape[0], rows.size
+        values = self.sorted_values.take(keep).reshape(p, n)
+        order = self.order.take(keep).reshape(p, n)
+        del keep  # the node's transients stay at three (p, n) arrays
+        prefix = self.residual.take(order)
+        np.cumsum(prefix, axis=1, out=prefix)  # sequential per feature row
+        # candidate cuts, feature-major: boundaries between distinct
+        # neighbouring values that leave min_leaf rows on each side
+        lo, hi = self.min_leaf, n - self.min_leaf
+        distinct = values[:, lo : hi + 1] != values[:, lo - 1 : hi]
+        feat, left = np.divmod(np.flatnonzero(distinct), hi - lo + 1)
+        if feat.size == 0:
+            return None
+        left += lo  # rows left of the cut
         r_total = float(self.residual[rows].sum())
         parent_score = r_total * r_total / n
-        best = None  # (gain, feature, threshold)
-        for j in range(self.X.shape[1]):
-            idx = self.order[j][member[self.order[j]]]
-            v = self.X[idx, j]
-            if v[0] == v[-1]:
-                continue
-            r = self.residual[idx]
-            prefix = np.cumsum(r)
-            # candidate boundaries between distinct consecutive values
-            cut = np.flatnonzero(v[1:] != v[:-1]) + 1  # left part size
-            cut = cut[(cut >= self.min_leaf) & (cut <= n - self.min_leaf)]
-            if cut.size == 0:
-                continue
-            sl = prefix[cut - 1]
-            gains = sl * sl / cut + (r_total - sl) ** 2 / (n - cut) - parent_score
-            k = int(np.argmax(gains))
-            if gains[k] > MIN_SPLIT_GAIN and (best is None or gains[k] > best[0]):
-                thr = 0.5 * (v[cut[k] - 1] + v[cut[k]])
-                best = (float(gains[k]), j, float(thr))
-        if best is None:
+        # gain = sl*sl/left + (r_total - sl)**2/(n - left) - parent_score, in place
+        # and in that order, so every gain keeps the bits of the plain expression
+        sl = prefix[feat, left - 1]
+        gains = sl * sl
+        gains /= left
+        rest = r_total - sl
+        rest *= rest
+        rest /= n - left
+        gains += rest
+        gains -= parent_score
+        # the first maximum: the lowest feature index, then the smallest cut
+        b = int(gains.argmax())
+        if not gains[b] > MIN_SPLIT_GAIN:
             return None
-        return best[1], best[2]
+        j, c = int(feat[b]), int(left[b])
+        return j, float(0.5 * (values[j, c - 1] + values[j, c]))
 
 
 def fit(X, y, config):
@@ -166,6 +188,12 @@ def fit(X, y, config):
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise DataError(f"incompatible shapes X {X.shape}, y {y.shape}")
+    if y.size == 0:
+        raise DataError("no training rows")
+    if not np.isfinite(X).all():
+        raise DataError("features must be finite")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise DataError("labels must be 0 or 1")
     if y.min() == y.max():
         raise DataError("training labels are single-class")
 

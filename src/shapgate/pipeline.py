@@ -179,8 +179,14 @@ def fit_core(prepared, config):
     y = prepared.matrix.labels
     ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], config.gbm_config)
     bg = attribution.make_background(X, prepared.train_ids, seed=child_seed(config.master_seed, 1))
-    shap_train = attribution.shap_matrix(ens, prepared.matrix, bg, rows=prepared.train_ids)
-    shap_test = attribution.shap_matrix(ens, prepared.matrix, bg, rows=prepared.test_ids)
+    # one pass over train and test rows: a row's attributions depend only on
+    # that row, the ensemble and the background
+    shap = attribution.shap_matrix(
+        ens, prepared.matrix, bg, rows=np.concatenate([prepared.train_ids, prepared.test_ids]),
+    )
+    n_train = prepared.train_ids.size
+    shap_train = replace(shap, values=shap.values[:n_train])
+    shap_test = replace(shap, values=shap.values[n_train:])
     return FittedCore(ensemble=ens, background=bg, shap_train=shap_train, shap_test=shap_test)
 
 

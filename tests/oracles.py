@@ -2,6 +2,9 @@
 
 - exact_shapley_oracle: the Shapley sum over all 2^p coalitions, the
   reference for interventional TreeSHAP (acceptance criterion 2).
+- loop_best_split: the per-feature split search loop that
+  gbm._TreeBuilder._best_split replaces with one search over every feature;
+  patched onto the builder, it must give the same trees, bit for bit.
 - loop_rank_auc / loop_roc_curve: the per-element tie-group loops that
   metrics._rank_auc and metrics._roc_curve replace with array code; the array
   code must return the same values, repr for repr.
@@ -51,6 +54,41 @@ def exact_shapley_oracle(ensemble, x, bg):
         without = np.flatnonzero(((masks >> i) & 1) == 0)
         phi[i] = np.sum(weight[sizes[without]] * (v[without | (1 << i)] - v[without]))
     return ShapMatrix(values=phi[None, :], base_value=float(v[0]))
+
+
+def loop_best_split(self, rows):
+    """(feature, threshold) of the best cut, one feature at a time, or None.
+
+    A gbm._TreeBuilder method: each feature row of the builder's presort is
+    filtered by membership, scored, and kept on a strictly greater gain.
+    """
+    member = np.zeros(self.X.shape[0], dtype=bool)
+    member[rows] = True
+    n = rows.size
+    r_total = float(self.residual[rows].sum())
+    parent_score = r_total * r_total / n
+    best = None  # (gain, feature, threshold)
+    for j in range(self.X.shape[1]):
+        idx = self.order[j][member[self.order[j]]]
+        v = self.X[idx, j]
+        if v[0] == v[-1]:
+            continue
+        r = self.residual[idx]
+        prefix = np.cumsum(r)
+        # candidate boundaries between distinct consecutive values
+        cut = np.flatnonzero(v[1:] != v[:-1]) + 1  # left part size
+        cut = cut[(cut >= self.min_leaf) & (cut <= n - self.min_leaf)]
+        if cut.size == 0:
+            continue
+        sl = prefix[cut - 1]
+        gains = sl * sl / cut + (r_total - sl) ** 2 / (n - cut) - parent_score
+        k = int(np.argmax(gains))
+        if gains[k] > gbm.MIN_SPLIT_GAIN and (best is None or gains[k] > best[0]):
+            thr = 0.5 * (v[cut[k] - 1] + v[cut[k]])
+            best = (float(gains[k]), j, float(thr))
+    if best is None:
+        return None
+    return best[1], best[2]
 
 
 def loop_rank_auc(scores, labels):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exact_shapley_oracle
 from shapgate import attribution, gbm
@@ -160,6 +162,40 @@ def test_matrix_matches_rowwise_calls_exactly():
         sv = shap_row(ens, X[i], bg)
         assert np.array_equal(sm.values[i], sv.values[0])
         assert sv.base_value == sm.base_value
+
+
+@st.composite
+def partitioned_rows(draw):
+    """A random ensemble, its rows, and a partition of a row set into parts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    # rounded values: many rows share a leaf-path mask, as in one-hot data
+    X = np.round(rng.normal(size=(n, p)), draw(st.integers(0, 2)))
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(int)
+    y[0], y[-1] = 0, 1
+    config = gbm.GbmConfig(n_trees=draw(st.integers(1, 6)), max_depth=draw(st.integers(1, 4)))
+    ens = gbm.fit(X, y, config)
+    bg = attribution.Background(rows=X[rng.choice(n, size=draw(st.integers(1, n)), replace=False)])
+    rows = rng.permutation(n)[: draw(st.integers(1, n))]
+    part = np.asarray(draw(st.lists(st.integers(0, 3), min_size=rows.size, max_size=rows.size)))
+    return ens, X, bg, rows, part
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitioned_rows())
+def test_matrix_equals_concatenation_over_any_row_partition(case):
+    # pipeline.fit_core runs one pass over train and test rows and slices it,
+    # which relies on each row's attributions depending on that row alone
+    ens, X, bg, rows, part = case
+    whole = attribution.shap_matrix(ens, X, bg, rows=rows)
+    pieces = np.empty_like(whole.values)
+    for label in np.unique(part):
+        sm = attribution.shap_matrix(ens, X, bg, rows=rows[part == label])
+        pieces[part == label] = sm.values
+        assert sm.base_value == whole.base_value
+    assert pieces.tobytes() == whole.values.tobytes()
 
 
 def test_identical_rows_identical_vectors():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import loop_best_split
 from shapgate import gbm
 from shapgate.errors import DataError
 
@@ -158,5 +161,88 @@ def test_shape_errors():
         gbm.fit(X, np.zeros(9), gbm.GbmConfig())
     with pytest.raises(DataError):
         gbm.fit(X, np.zeros(4), gbm.GbmConfig())  # single class
+    with pytest.raises(DataError, match="no training rows"):
+        gbm.fit(np.zeros((0, 1)), np.zeros(0), gbm.GbmConfig())
     with pytest.raises(DataError):
         gbm.GbmConfig(learning_rate=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        X_bad = X.astype(np.float64)
+        X_bad[3, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            gbm.fit(X_bad, y, gbm.GbmConfig(n_trees=1))
+    for bad in (2.0, -1.0, 0.5, np.nan):
+        y_bad = y.astype(np.float64)
+        y_bad[2] = bad
+        with pytest.raises(DataError, match="0 or 1"):
+            gbm.fit(X, y_bad, gbm.GbmConfig(n_trees=1))
+    for labels in (y.astype(np.int32), y.astype(bool)):  # 0/1 in any dtype stays valid
+        assert ensemble_bytes(gbm.fit(X, labels, gbm.GbmConfig(n_trees=1))) == ensemble_bytes(ens)
+
+
+def ensemble_bytes(ens):
+    """Every tree array with its dtype, and the base margin, for exact comparison."""
+    out = [repr(ens.base_margin)]
+    for tree in ens.trees:
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+            arr = getattr(tree, name)
+            out.append((name, arr.dtype.str, arr.tobytes()))
+    return out
+
+
+@st.composite
+def tie_heavy_fits(draw):
+    """Small integer-valued X (many ties), both classes, random depth and leaf size."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 4))
+    X = np.asarray(draw(st.lists(st.integers(0, levels), min_size=n * p, max_size=n * p)),
+                   dtype=np.float64).reshape(n, p)
+    y = np.asarray(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    if y.min() == y.max():
+        y[0] = 1 - y[0]
+    config = gbm.GbmConfig(
+        n_trees=draw(st.integers(1, 4)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, n)),
+    )
+    return X, y, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_fits())
+@example((np.array([[0.0], [1.0]]), np.array([0, 1]), gbm.GbmConfig(n_trees=2)))  # n = 2
+@example((np.array([[3.0, 0.0], [3.0, 1.0], [3.0, 2.0], [3.0, 3.0]]), np.array([0, 0, 1, 1]),
+          gbm.GbmConfig(n_trees=2)))  # constant feature first
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), np.array([0, 1, 0, 1]),
+          gbm.GbmConfig(n_trees=3)))  # duplicate columns: every gain ties across features
+@example((np.arange(9.0)[:, None], np.array([0, 0, 0, 1, 1, 1, 0, 1, 1]),
+          gbm.GbmConfig(n_trees=2, min_samples_leaf=5)))  # min_samples_leaf > n / 2
+@example((np.arange(8.0)[:, None], np.array([0, 1, 0, 1, 1, 0, 1, 1]),
+          gbm.GbmConfig(n_trees=2, min_samples_leaf=4)))  # min_samples_leaf = n / 2: one cut
+def test_split_search_matches_the_loop(case):
+    X, y, config = case
+    fast = gbm.fit(X, y, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gbm._TreeBuilder, "_best_split", loop_best_split)
+        slow = gbm.fit(X, y, config)
+    assert ensemble_bytes(fast) == ensemble_bytes(slow)
+
+
+@st.composite
+def permuted_fits_with_duplicates(draw):
+    """A tie-heavy fit, its rows with some duplicated, and a permutation of them."""
+    X, y, config = draw(tie_heavy_fits())
+    extra = draw(st.lists(st.integers(0, y.size - 1), max_size=10))
+    rows = np.concatenate([np.arange(y.size), np.asarray(extra, dtype=np.intp)])
+    perm = np.asarray(draw(st.permutations(range(rows.size))), dtype=np.intp)
+    return X[rows], y[rows], config, perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_fits_with_duplicates())
+def test_fit_bit_identical_under_row_permutation(case):
+    # the canonical row order makes every tie resolve the same way, so the
+    # trees match bit for bit even where split gains tie
+    X, y, config, perm = case
+    assert ensemble_bytes(gbm.fit(X, y, config)) == ensemble_bytes(gbm.fit(X[perm], y[perm], config))
