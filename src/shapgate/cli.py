@@ -260,6 +260,8 @@ def cmd_report(args):
 
 
 def cmd_synth(args):
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     out = args.out
     if os.path.isdir(out):
         out = os.path.join(out, dataset.SCHEMAS[args.dataset].default_filename)

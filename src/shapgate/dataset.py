@@ -385,7 +385,8 @@ def _class_counts_for_test(labels, n_test):
 
 
 def split_holdout(matrix, spec):
-    """Stratified train/test split; test size = round(holdout_fraction * n)."""
+    """Stratified train/test split; test size = round(holdout_fraction * n),
+    with at least one test row per class."""
     labels = np.asarray(matrix.labels)
     n = labels.size
     if n < 10:
@@ -398,6 +399,13 @@ def split_holdout(matrix, spec):
             )
     n_test = int(np.round(spec.holdout_fraction * n))
     per_class = _class_counts_for_test(labels, n_test)
+    # a holdout without both classes cannot be scored, so stop before any fit
+    empty = [cls for cls, t in per_class.items() if t == 0]
+    if empty:
+        raise DataError(
+            f"a holdout of {n_test} of {n} rows gives class {empty[0]} no test row; "
+            f"raise holdout_fraction"
+        )
     rng = np.random.default_rng([spec.seed, 0x5E1D])
     test_parts, train_parts = [], []
     for cls in classes.tolist():
@@ -428,24 +436,14 @@ def stratified_kfold(train_indices, labels, spec):
                 f"class {cls} has {cnt} training members; need at least n_folds+1 = {spec.n_folds + 1}"
             )
     rng = np.random.default_rng([spec.seed, 0xF01D])
-    fold_members = [[] for _ in range(spec.n_folds)]
+    fold_of = np.empty(train_indices.size, dtype=np.intp)
     cursor = 0
-    for cls in classes.tolist():
-        members = train_indices[y == cls]
-        members = members[rng.permutation(members.size)]
-        base = members.size // spec.n_folds
-        rem = members.size % spec.n_folds
-        pos = 0
-        sizes = [base] * spec.n_folds
-        for _ in range(rem):
-            sizes[cursor % spec.n_folds] += 1
-            cursor += 1
-        for f, sz in enumerate(sizes):
-            fold_members[f].extend(members[pos : pos + sz].tolist())
-            pos += sz
-    folds = []
-    for f in range(spec.n_folds):
-        val = np.sort(np.asarray(fold_members[f], dtype=train_indices.dtype))
-        fit = np.sort(np.asarray(sum((fold_members[g] for g in range(spec.n_folds) if g != f), []), dtype=train_indices.dtype))
-        folds.append((fit, val))
-    return folds
+    for cls, cnt in zip(classes.tolist(), counts.tolist()):
+        pos = np.flatnonzero(y == cls)[rng.permutation(cnt)]  # shuffled, within train_indices
+        sizes = np.full(spec.n_folds, cnt // spec.n_folds)
+        rem = cnt % spec.n_folds
+        sizes[(cursor + np.arange(rem)) % spec.n_folds] += 1
+        cursor += rem
+        fold_of[pos] = np.repeat(np.arange(spec.n_folds), sizes)
+    return [(np.sort(train_indices[fold_of != f]), np.sort(train_indices[fold_of == f]))
+            for f in range(spec.n_folds)]

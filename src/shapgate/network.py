@@ -13,8 +13,10 @@ sigmoid unit.
 
 Training is mini-batch gradient descent with adaptive moment estimates and
 early stopping on validation loss; the best-validation parameters are
-restored. All arithmetic is float64 numpy; gradients are hand-derived and
-checked against central finite differences in the tests.
+restored. Each epoch makes one full forward pass, over the validation batch;
+the training curve reuses the mini-batch losses. All arithmetic is float64
+numpy; gradients are hand-derived and checked against central finite
+differences in the tests.
 """
 
 import math
@@ -185,6 +187,7 @@ def loss_and_grads(params, batch, y, out=None):
 @dataclass
 class TrainResult:
     params: NetParams
+    # per epoch: the size-weighted mean of its mini-batch losses, each taken before its step's update
     train_losses: list[float]
     val_losses: list[float]
     best_epoch: int
@@ -232,9 +235,7 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     """Fit from scratch; returns the best-validation parameters and history.
 
     The trainable groups are views into one flat buffer, and so are their
-    gradients, so each step is one Adam update over the whole buffer. When
-    the validation batch is the training batch with the same labels, each
-    epoch's loss is computed once and serves as both.
+    gradients, so each step is one Adam update over the whole buffer.
     """
     y_train = np.asarray(train_labels, dtype=np.float64)
     y_val = np.asarray(val_labels, dtype=np.float64)
@@ -250,7 +251,6 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     moment1 = np.zeros_like(flat)
     moment2 = np.zeros_like(flat)
     scratch = (np.empty_like(flat), np.empty_like(flat))
-    val_is_train = val_batch is train_batch and np.array_equal(y_val, y_train)
     step = 0
     best = flat.copy()
     best_loss = np.inf
@@ -260,19 +260,18 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     val_losses = []
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 0xE0, epoch]).permutation(train_batch.n)
+        loss_sum = 0.0
         try:
             for lo in range(0, train_batch.n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
                 loss, _ = loss_and_grads(params, train_batch.take(idx), y_train[idx], out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch)
+                loss_sum += loss * idx.size
                 step += 1
                 _adam_update(flat, grad, moment1, moment2, scratch, step, config.step_size)
-            epoch_train = bce_loss(_forward_full(params, train_batch)[0], y_train)
-            if val_is_train:
-                epoch_val = epoch_train
-            else:
-                epoch_val = bce_loss(_forward_full(params, val_batch)[0], y_val)
+            epoch_train = loss_sum / train_batch.n
+            epoch_val = bce_loss(_forward_full(params, val_batch)[0], y_val)
         except NumericalError as e:
             raise TrainingDivergedError(epoch) from e
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):

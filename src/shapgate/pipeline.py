@@ -106,6 +106,11 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANT_WIRING]
         if unknown:
             raise UsageError(f"unknown variants: {unknown}")
+        # an empty list trains nothing, and a repeated name trains twice to
+        # keep one result
+        if not self.variants or len(set(self.variants)) != len(self.variants):
+            raise UsageError(f"variants must name each variant at most once and not be empty, "
+                             f"got {list(self.variants)}")
         # gbm.fit accepts zero trees, but their attributions are all zero, so
         # every gate would be a constant one half
         if self.gbm_config.n_trees < 1:
@@ -449,47 +454,57 @@ def records_from_manifest(manifest):
     """Rebuild RunRecords from a manifest's "runs" list.
 
     ROC points are not stored in manifests, so rebuilt records carry empty
-    roc_points and report emission skips the ROC CSVs.
+    roc_points and report emission skips the ROC CSVs. A manifest of the
+    wrong shape is a DataError.
     """
-    records = []
-    for run in manifest.get("runs", []):
-        variants = {}
-        for name, entry in run["variants"].items():
-            report = None
-            if "metrics" in entry:
-                m = entry["metrics"]
-                report = metrics.EvalReport(
-                    precision=m["precision"], recall=m["recall"], f1=m["f1"],
-                    accuracy=m["accuracy"], auc=m["auc"],
-                    roc_points=[], n=run["n_test"],
-                )
-            variants[name] = VariantResult(
-                report=report,
-                gate_input_sha256=entry.get("gate_input_sha256"),
-                train_seconds=entry.get("train_seconds", 0.0),
-                error=entry.get("error"),
-            )
-        records.append(RunRecord(
-            dataset=run["dataset"],
-            master_seed=run["master_seed"],
-            selection_seed=run["selection_seed"],
-            n_train=run["n_train"],
-            n_test=run["n_test"],
-            n_features=run["n_features"],
-            chosen_spec=kernel_kmeans.spec_from_label(run["chosen_kernel"]),
-            chosen_k=run["chosen_k"],
-            grid_cells=[
-                GridCell(kernel=c["kernel"], k=c["k"], fold_f1=c["fold_f1"],
-                         mean_f1=float("nan") if c["mean_f1"] is None else c["mean_f1"],
-                         error=c["error"])
-                for c in run.get("grid", [])
-            ],
-            variants=variants,
-            timings=run.get("timings", {}),
-        ))
+    runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
+    if not isinstance(runs, list):
+        raise DataError('manifest must be a JSON object whose "runs" is a list')
+    try:
+        records = [_record_from_run(run) for run in runs]
+    except (AttributeError, KeyError, TypeError) as e:
+        raise DataError(f"manifest run is malformed: {type(e).__name__}: {e}") from e
     if not records:
         raise DataError("manifest contains no runs")
     return records
+
+
+def _record_from_run(run):
+    """One entry of a manifest's "runs" list as a RunRecord."""
+    variants = {}
+    for name, entry in run["variants"].items():
+        report = None
+        if "metrics" in entry:
+            m = entry["metrics"]
+            report = metrics.EvalReport(
+                precision=m["precision"], recall=m["recall"], f1=m["f1"],
+                accuracy=m["accuracy"], auc=m["auc"],
+                roc_points=[], n=run["n_test"],
+            )
+        variants[name] = VariantResult(
+            report=report,
+            gate_input_sha256=entry.get("gate_input_sha256"),
+            train_seconds=entry.get("train_seconds", 0.0),
+            error=entry.get("error"),
+        )
+    return RunRecord(
+        dataset=run["dataset"],
+        master_seed=run["master_seed"],
+        selection_seed=run["selection_seed"],
+        n_train=run["n_train"],
+        n_test=run["n_test"],
+        n_features=run["n_features"],
+        chosen_spec=kernel_kmeans.spec_from_label(run["chosen_kernel"]),
+        chosen_k=run["chosen_k"],
+        grid_cells=[
+            GridCell(kernel=c["kernel"], k=c["k"], fold_f1=c["fold_f1"],
+                     mean_f1=float("nan") if c["mean_f1"] is None else c["mean_f1"],
+                     error=c["error"])
+            for c in run.get("grid", [])
+        ],
+        variants=variants,
+        timings=run.get("timings", {}),
+    )
 
 
 # ------------------------------------------------------------------ reporting

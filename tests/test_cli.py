@@ -68,6 +68,12 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         path.write_text(json.dumps(settings))
         assert cli.main(["cv", "--dataset", "heart", "--config", str(path)]) == 1, settings
     assert cli.main(["cv", "--dataset", "heart", "--seed", "-1"]) == 1
+    # a variant list that trains nothing, or one variant twice
+    assert cli.main(["run", "--dataset", "heart", "--variant", ","]) == 1
+    assert cli.main(["run", "--dataset", "heart", "--variant", "full,full"]) == 1
+    synth_out = tmp_path / "synth.csv"
+    assert cli.main(["synth", "--dataset", "heart", "--out", str(synth_out), "--seed", "-1"]) == 1
+    assert not synth_out.exists()
     # kernel labels whose number does not parse or is not finite
     for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "rbf_g1e999", "poly_d2_c1e999"):
         argv = ["cluster", "--dataset", "heart", "--kernel", label, "--k", "3"]
@@ -132,6 +138,30 @@ def test_unwritable_out_exits_1_before_reading_data(capsys, tmp_path, heart_path
         assert cli.main(argv) == 1, argv
         assert "not writable" in capsys.readouterr().err
     assert blocker.read_text() == ""
+
+
+def test_holdout_missing_a_class_exits_2_before_fitting(capsys, tmp_path, heart_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the holdout check")
+
+    monkeypatch.setattr(shapgate.gbm, "fit", no_fit)
+    path = tmp_path / "tiny_holdout.json"
+    path.write_text(json.dumps({**FAST, "holdout_fraction": 0.001}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--dataset", "heart", "--data-path", heart_path,
+                     "--config", str(path), "--out", str(out)]) == 2
+    assert "no test row" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_of_the_wrong_shape_exits_2(capsys, tmp_path):
+    for i, manifest in enumerate([[], {"runs": [{}]}, {"runs": "abc"}]):
+        path = tmp_path / f"manifest{i}.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["report", "--manifest", str(path), "--out", str(out)]) == 2, manifest
+        assert "data error: manifest" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_data_file_exits_2(capsys, tmp_path):

@@ -210,6 +210,13 @@ def test_tiny_class_rejected():
         ds.split_holdout(fm, ds.SplitSpec(n_folds=5))
 
 
+@pytest.mark.parametrize("fraction", [0.001, 1 / 60], ids=["no_test_row", "one_test_row"])
+def test_holdout_without_every_class_rejected(fraction):
+    fm = _matrix_with_labels([0, 1] * 30)
+    with pytest.raises(DataError, match="no test row"):
+        ds.split_holdout(fm, ds.SplitSpec(holdout_fraction=fraction))
+
+
 def test_kfold_exact_divisibility():
     labels = np.array([0, 1] * 50)
     folds = ds.stratified_kfold(np.arange(100), labels, ds.SplitSpec(seed=0))

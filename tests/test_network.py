@@ -82,8 +82,9 @@ def copy_params(params):
 
 def reference_train(train_batch, train_labels, val_batch, val_labels, config):
     """Per-group Adam trainer: separate parameter and moment arrays per group,
-    a validated NetBatch for every mini-batch, and a separate validation pass
-    every epoch. network.train must equal it bit for bit."""
+    a validated NetBatch for every mini-batch, a training curve summed from
+    the step losses, and a separate validation pass every epoch.
+    network.train must equal it bit for bit."""
     y_train = np.asarray(train_labels, dtype=np.float64)
     y_val = np.asarray(val_labels, dtype=np.float64)
     params = network.init_params(train_batch.x.shape[1], config,
@@ -100,6 +101,7 @@ def reference_train(train_batch, train_labels, val_batch, val_labels, config):
     val_losses = []
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 0xE0, epoch]).permutation(train_batch.n)
+        loss_sum = 0.0
         for lo in range(0, train_batch.n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             sub = network.NetBatch(
@@ -107,7 +109,8 @@ def reference_train(train_batch, train_labels, val_batch, val_labels, config):
                 shap=None if train_batch.shap is None else train_batch.shap[idx],
                 onehot=None if train_batch.onehot is None else train_batch.onehot[idx],
             )
-            _, grads = reference_loss_and_grads(params, sub, y_train[idx])
+            loss, grads = reference_loss_and_grads(params, sub, y_train[idx])
+            loss_sum += loss * idx.size
             step += 1
             for k in names:
                 g = grads[k]
@@ -118,7 +121,7 @@ def reference_train(train_batch, train_labels, val_batch, val_labels, config):
                 getattr(params, k)[...] -= (
                     config.step_size * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
                 )
-        train_losses.append(network.bce_loss(network._forward_full(params, train_batch)[0], y_train))
+        train_losses.append(loss_sum / train_batch.n)
         val_losses.append(network.bce_loss(network._forward_full(params, val_batch)[0], y_val))
         if val_losses[-1] < best_loss:
             best_loss = val_losses[-1]
@@ -347,11 +350,31 @@ def test_train_matches_reference_patience_and_max_epochs_stops():
 
 
 def test_train_matches_reference_when_validating_on_training_set():
+    # the final fit's call: the training batch and labels serve as validation
     batch, y = labelled_batch(109, n=40)
     config = network.NetConfig(step_size=1e-2, batch_size=16, max_epochs=15, seed=113)
-    result = train_both(batch, y, batch, y, config)
-    assert result.val_losses == result.train_losses
-    # the same batch with other labels is evaluated on its own
-    flipped = 1.0 - y
-    result = train_both(batch, y, batch, flipped, config)
-    assert result.val_losses != result.train_losses
+    train_both(batch, y, batch, y, config)
+
+
+def test_one_full_forward_pass_per_epoch(monkeypatch):
+    """Each step makes one forward pass and each epoch one more, over the
+    validation batch, whether or not that batch is the training batch."""
+    calls = []
+    real = network._forward_full
+
+    def counted(params, batch):
+        calls.append(batch.n)
+        return real(params, batch)
+
+    monkeypatch.setattr(network, "_forward_full", counted)
+    batch, y = labelled_batch(127, n=41)
+    val, yv = labelled_batch(131, n=15)
+    config = network.NetConfig(step_size=1e-2, batch_size=8, max_epochs=9, seed=137)
+    steps_per_epoch = -(-batch.n // config.batch_size)
+    for val_batch, val_labels in ((val, yv), (batch, y)):
+        calls.clear()
+        result = network.train(batch, y, val_batch, val_labels, config)
+        epochs = len(result.val_losses)
+        assert len(result.train_losses) == epochs
+        assert len(calls) == epochs * steps_per_epoch + epochs
+        assert calls.count(val_batch.n) == epochs
