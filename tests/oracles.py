@@ -2,6 +2,9 @@
 
 - exact_shapley_oracle: the Shapley sum over all 2^p coalitions, the
   reference for interventional TreeSHAP (acceptance criterion 2).
+- loop_accumulate_tree: the per-leaf TreeSHAP loop that
+  attribution._accumulate_tree replaces with per-tree leaf tables; patched
+  into attribution, it must give the same SHAP values, bit for bit.
 - loop_best_split: the per-feature split search loop that
   gbm._TreeBuilder._best_split replaces with one search over every feature;
   patched onto the builder, it must give the same trees, bit for bit.
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from shapgate import gbm
-from shapgate.attribution import ShapMatrix, _check_inputs
+from shapgate.attribution import _CM, _CP, MAX_PATH_FEATURES, ShapMatrix, _check_inputs
 from shapgate.errors import DataError
 
 ORACLE_MAX_FEATURES = 15
@@ -54,6 +57,68 @@ def exact_shapley_oracle(ensemble, x, bg):
         without = np.flatnonzero(((masks >> i) & 1) == 0)
         phi[i] = np.sum(weight[sizes[without]] * (v[without | (1 << i)] - v[without]))
     return ShapMatrix(values=phi[None, :], base_value=float(v[0]))
+
+
+def leaf_boxes(tree):
+    """(value, features, lo, hi) per reachable leaf; intervals are (lo, hi]."""
+    out = []
+    stack = [(0, {})]
+    while stack:
+        node, box = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            feats = np.array(sorted(box), dtype=np.intp)
+            lo = np.array([box[k][0] for k in feats])
+            hi = np.array([box[k][1] for k in feats])
+            out.append((float(tree.value[node]), feats, lo, hi))
+            continue
+        thr = float(tree.threshold[node])
+        lo, hi = box.get(f, (-np.inf, np.inf))
+        if lo < min(hi, thr):  # left branch feasible
+            left_box = dict(box)
+            left_box[f] = (lo, min(hi, thr))
+            stack.append((int(tree.left[node]), left_box))
+        if max(lo, thr) < hi:  # right branch feasible
+            right_box = dict(box)
+            right_box[f] = (max(lo, thr), hi)
+            stack.append((int(tree.right[node]), right_box))
+    return out
+
+
+def loop_accumulate_tree(phi, tree, Xf, Xb, scale):
+    """Add one tree's attributions (times scale) into phi, shape (n_f, p)."""
+    n_b = Xb.shape[0]
+    for value, feats, lo, hi in leaf_boxes(tree):
+        q = feats.size
+        if q == 0 or value == 0.0:
+            continue  # leaf reached by everything, or contributes nothing
+        if q > MAX_PATH_FEATURES:
+            raise DataError(
+                f"leaf path uses {q} unique features; attribution supports at most {MAX_PATH_FEATURES}"
+            )
+        pow2 = 1 << np.arange(q, dtype=np.int64)
+        sat_f = (Xf[:, feats] > lo) & (Xf[:, feats] <= hi)
+        sat_b = (Xb[:, feats] > lo) & (Xb[:, feats] <= hi)
+        xmask = sat_f @ pow2
+        counts = np.bincount(sat_b @ pow2, minlength=1 << q)
+        observed_z = np.flatnonzero(counts)
+        unique_x, inverse = np.unique(xmask, return_inverse=True)
+        # (G, Z, q) masks over distinct x masks, observed z masks, path features
+        in_x = (unique_x[:, None, None] & pow2) != 0
+        in_z = (observed_z[None, :, None] & pow2) != 0
+        A = in_x & ~in_z
+        B = in_z & ~in_x
+        live = np.all(in_x | in_z, axis=2)
+        a = A.sum(axis=2)
+        b = B.sum(axis=2)
+        cnt = counts[observed_z].astype(np.float64)
+        plus = np.where(live, cnt * _CP[a, b], 0.0)[:, :, None]
+        minus = np.where(live, cnt * _CM[a, b], 0.0)[:, :, None]
+        terms = np.where(A, plus, 0.0) - np.where(B, minus, 0.0)
+        # sequential sum over z in ascending order; a pairwise .sum(axis=1)
+        # would round differently once there are 8 or more terms
+        table = np.cumsum(terms, axis=1)[:, -1]
+        phi[:, feats] += (scale * value / n_b) * table[inverse]
 
 
 def loop_best_split(self, rows):

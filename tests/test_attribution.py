@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_shapley_oracle
-from shapgate import attribution, gbm
+from oracles import exact_shapley_oracle, leaf_boxes, loop_accumulate_tree
+from shapgate import attribution, dataset, gbm, pipeline, synth
 from shapgate.errors import DataError
 
 
@@ -131,7 +133,7 @@ def test_oracle_equivalence_100_trials():
         assert fast.base_value == pytest.approx(slow.base_value, abs=1e-9)
         worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
         for tree in ens.trees:
-            for _, feats, _, _ in attribution._leaf_boxes(tree):
+            for _, feats, _, _ in leaf_boxes(tree):
                 widest_path = max(widest_path, feats.size)
     assert worst < 1e-9
     assert widest_path >= 5
@@ -196,6 +198,162 @@ def test_matrix_equals_concatenation_over_any_row_partition(case):
         pieces[part == label] = sm.values
         assert sm.base_value == whole.base_value
     assert pieces.tobytes() == whole.values.tobytes()
+
+
+def node_tree(feature, threshold, left, right, value):
+    """DecisionTree from per-node lists; feature -1 marks a leaf."""
+    return gbm.DecisionTree(
+        feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64), n_samples=np.ones(len(feature), dtype=np.int32),
+    )
+
+
+def uneven_paths_case():
+    """Leaves on paths of 1, 2 and 3 features in one tree, after a root-only
+    tree, with every row on an integer grid that includes the thresholds."""
+    uneven = node_tree(
+        feature=[0, -1, 1, -1, 2, -1, -1], threshold=[0.5, 0, 0.5, 0, 1.5, 0, 0],
+        left=[1, -1, 3, -1, 5, -1, -1], right=[2, -1, 4, -1, 6, -1, -1],
+        value=[0, 1.0, 0, -2.0, 0, 0.5, -0.25],
+    )
+    root_only = node_tree([-1], [0.0], [-1], [-1], [0.7])
+    ens = gbm.TreeEnsemble(base_margin=0.1, trees=[root_only, uneven, uneven],
+                           learning_rate=0.3, n_features=3)
+    grid = np.array([[a, b, c] for a in (0, 0.5, 1) for b in (0, 0.5, 1) for c in (1, 1.5, 2)])
+    return ens, grid, attribution.Background(rows=grid[::2]), None
+
+
+def many_masks_case():
+    """Continuous features at depth 5 and 80 background rows: leaves see 8
+    or more z masks, where a pairwise sum over z would round differently."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(80, 4))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=80) > 0).astype(int)
+    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=5, max_depth=5))
+    return ens, X[:20], attribution.Background(rows=X), None
+
+
+@st.composite
+def loop_cases(draw):
+    """An ensemble, the rows to explain, a background and a block budget.
+
+    Integer-valued features tie and repeat, some explained and background
+    entries sit exactly on split thresholds, some leaves are zeroed, and a
+    root-only tree may join. Depths 1-7 on few features give leaves whose
+    paths have different lengths; small budgets split trees into several
+    mask chunks and blocks into several x-mask slices.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 80))
+    p = draw(st.integers(1, 6))
+    X = rng.integers(0, draw(st.integers(1, 6)) + 1, size=(n, p)).astype(np.float64)
+    y = rng.integers(0, 2, size=n)
+    y[0], y[-1] = 0, 1
+    config = gbm.GbmConfig(
+        n_trees=draw(st.integers(1, 5)), max_depth=draw(st.integers(1, 7)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+    )
+    ens = gbm.fit(X, y, config)
+    zero_share = draw(st.sampled_from([0.0, 0.3]))
+    for tree in ens.trees:
+        zeroed = (tree.feature < 0) & (rng.random(tree.feature.size) < zero_share)
+        tree.value = np.where(zeroed, 0.0, tree.value)
+    if draw(st.booleans()):
+        root_only = node_tree([-1], [0.0], [-1], [-1], [float(rng.normal())])
+        ens.trees.insert(int(rng.integers(len(ens.trees) + 1)), root_only)
+    explained = X[rng.integers(0, n, size=draw(st.integers(1, 40)))]
+    background = X[rng.integers(0, n, size=draw(st.integers(1, n)))]
+    splits = [(f, t) for tree in ens.trees
+              for f, t in zip(tree.feature.tolist(), tree.threshold.tolist()) if f >= 0]
+    if splits:
+        for rows in (explained, background):
+            for i in np.flatnonzero(rng.random(rows.shape[0]) < 0.5):
+                f, t = splits[int(rng.integers(len(splits)))]
+                rows[i, f] = t
+    budget = draw(st.sampled_from([None, 16, 64, 512]))
+    return ens, explained, attribution.Background(rows=background), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_cases())
+@example(uneven_paths_case())
+@example(many_masks_case())
+@example((uneven_paths_case()[0], np.empty((0, 3))) + uneven_paths_case()[2:])  # no rows
+@example(uneven_paths_case()[:3] + (16,))
+@example(uneven_paths_case()[:2] + (attribution.Background(rows=np.array([[1.0, 0.0, 2.0]])), None))
+def test_tree_tables_match_the_loop(case):
+    # per-tree leaf tables against the per-leaf loop: each table entry is
+    # the same ascending-z sequential sum and phi takes the leaves in the same
+    # order, so every byte agrees
+    ens, X, bg, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(attribution, "_BLOCK_ELEMENTS", budget)
+            mp.setattr(attribution, "_SMALL_BLOCK", budget >> 3)
+        fast = attribution.shap_matrix(ens, X, bg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attribution, "_accumulate_tree", loop_accumulate_tree)
+        slow = attribution.shap_matrix(ens, X, bg)
+    assert fast.values.tobytes() == slow.values.tobytes()
+    assert fast.base_value == slow.base_value
+
+
+def test_path_feature_cap():
+    # a leaf on 13 distinct features is refused, as the per-leaf loop refused it
+    # a chain: inner node f splits feature f, with a leaf on its left and
+    # the next inner node on its right; the last leaf's path uses them all
+    n = attribution.MAX_PATH_FEATURES + 1
+    inner, leaves, none = list(range(n)), list(range(n, 2 * n + 1)), [-1] * (n + 1)
+    tree = node_tree(inner + none, [0.0] * (2 * n + 1), leaves[:n] + none,
+                     inner[1:] + leaves[n:] + none, [0.0] * n + [1.0] * (n + 1))
+    ens = gbm.TreeEnsemble(base_margin=0.0, trees=[tree], learning_rate=1.0, n_features=n)
+    bg = attribution.Background(rows=np.ones((2, n)))
+    for accumulate in (attribution._accumulate_tree, loop_accumulate_tree):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attribution, "_accumulate_tree", accumulate)
+            with pytest.raises(DataError, match="at most 12"):
+                attribution.shap_matrix(ens, np.ones((1, n)), bg)
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_non_finite_inputs_rejected(bad):
+    # the leaf intervals treat a non-finite entry as outside every box, which
+    # broke local accuracy; gbm.fit refuses such features the same way
+    rng = np.random.default_rng(45)
+    ens, X = random_fit(rng, n_trees=5, max_depth=2)
+    bg = attribution.Background(rows=X[:10])
+    explained = X[:3].copy()
+    explained[1, 0] = bad
+    with pytest.raises(DataError, match="finite"):
+        attribution.shap_matrix(ens, explained, bg)
+    background = X[:10].copy()
+    background[4, 1] = bad
+    with pytest.raises(DataError, match="finite"):
+        attribution.Background(rows=background)
+    with pytest.raises(DataError, match="finite"):
+        attribution.make_background(background, np.arange(10))
+
+
+def test_depth_7_peak_memory(tmp_path):
+    # masks are built per leaf chunk and blocks stay within the element
+    # budget; the per-leaf loop peaked at 2.1 MB here, and one block per
+    # tree padded to its largest mask counts at 47 MB
+    path = synth.write_synthetic("heart", tmp_path / dataset.SCHEMAS["heart"].default_filename)
+    config = pipeline.ExperimentConfig(dataset="heart", master_seed=0)
+    prepared = pipeline.prepare(config, path)
+    X, y = prepared.matrix.values, prepared.matrix.labels
+    ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], gbm.GbmConfig(n_trees=20, max_depth=7))
+    bg = attribution.make_background(X, prepared.train_ids, seed=pipeline.child_seed(0, 1))
+    rows = np.concatenate([prepared.train_ids, prepared.test_ids])
+    tracemalloc.start()
+    try:
+        attribution.shap_matrix(ens, prepared.matrix, bg, rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def test_identical_rows_identical_vectors():
