@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import attribution, dataset, gbm, kernel_kmeans, pipeline, synth
+from . import attribution, dataset, gbm, kernel_kmeans, metrics, pipeline, synth
 from .errors import DataError, NumericalError, UsageError
 
 
@@ -93,7 +93,7 @@ def _spec_from_flag(label):
 def _grid_from_json(cells):
     grid = []
     for cell in cells:
-        if not (isinstance(cell, list) and len(cell) == 2):
+        if not (isinstance(cell, list) and len(cell) == 2 and isinstance(cell[0], str)):
             raise UsageError(f"grid cells must be [kernel_label, k] pairs, got {cell!r}")
         label, k = cell
         grid.append((_spec_from_flag(label), k))
@@ -122,6 +122,9 @@ def load_config(args):
         unknown = sorted(set(raw) - _CONFIG_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys {unknown}; expected {sorted(_CONFIG_KEYS)}")
+        for key in ("grid", "variants"):
+            if key in raw and not isinstance(raw[key], list):
+                raise UsageError(f'config key "{key}" must be a list, got {raw[key]!r}')
         settings.update(raw)
 
     settings["dataset"] = args.dataset
@@ -156,9 +159,8 @@ def _print_record(record):
         if vr.report is None:
             print(f"  {name:<18} FAILED: {vr.error}")
         else:
-            r = vr.report
-            print(f"  {name:<18} precision={r.precision:.3f} recall={r.recall:.3f} "
-                  f"f1={r.f1:.3f} accuracy={r.accuracy:.3f} auc={r.auc:.3f}")
+            print(f"  {name:<18} " + " ".join(
+                f"{metric}={getattr(vr.report, metric):.3f}" for metric in metrics.REPORTED))
 
 
 def _write(out_dir, name, text):
@@ -192,8 +194,10 @@ def cmd_cv(args):
     print(f"{'kernel':<14} {'k':>2}  {'mean_f1':>8}  fold F1")
     for i, cell in enumerate(result.cells):
         marker = " *" if i == result.best_index else ""
-        folds = " ".join(f"{v:.3f}" for v in cell.fold_f1) if cell.fold_f1 else cell.error
-        print(f"{cell.kernel:<14} {cell.k:>2}  {cell.mean_f1:>8.4f}  {folds}{marker}")
+        folds = [f"{v:.3f}" for v in cell.fold_f1]
+        if cell.error is not None:
+            folds.append(cell.error)
+        print(f"{cell.kernel:<14} {cell.k:>2}  {cell.mean_f1:>8.4f}  {' '.join(folds)}{marker}")
     if args.out is not None:
         lines = ["kernel,k,mean_f1,fold_f1,error"]
         for cell in result.cells:

@@ -19,6 +19,7 @@ a strict > over ascending features picks, with the same gain bits.
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class GbmConfig:
     def __post_init__(self):
         if self.n_trees < 0:
             raise DataError("n_trees must be >= 0")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.max_depth <= 0 or self.min_samples_leaf <= 0:
             raise DataError("max_depth and min_samples_leaf must be positive")
 

@@ -15,6 +15,8 @@ from .errors import DataError, NumericalError
 
 AUC_AGREEMENT_TOL = 1e-12
 THRESHOLD = 0.5  # a row is predicted positive when its probability exceeds this
+# the metrics every report lists, in the order its tables and lines show them
+REPORTED = ("precision", "recall", "f1", "accuracy", "auc")
 
 
 @dataclass
@@ -31,13 +33,7 @@ class EvalReport:
     degenerate_precision: bool = False
 
     def metric_dict(self):
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-        }
+        return {name: getattr(self, name) for name in REPORTED}
 
 
 @dataclass
@@ -178,13 +174,4 @@ def evaluate(probabilities, labels):
     """Full EvalReport: thresholded metrics plus AUC/ROC."""
     cm = classification_metrics(probabilities, labels)
     auc, points = roc_auc(np.asarray(probabilities, dtype=np.float64), labels)
-    return EvalReport(
-        precision=cm.precision,
-        recall=cm.recall,
-        f1=cm.f1,
-        accuracy=cm.accuracy,
-        auc=auc,
-        roc_points=points,
-        n=cm.n,
-        degenerate_precision=cm.degenerate_precision,
-    )
+    return EvalReport(**vars(cm), auc=auc, roc_points=points)

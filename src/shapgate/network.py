@@ -44,8 +44,10 @@ class NetConfig:
     hidden_sizes: tuple = HIDDEN_SIZES
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise DataError("step_size, batch_size, max_epochs must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise DataError(f"step_size must be positive and finite, got {self.step_size!r}")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise DataError("batch_size and max_epochs must be positive")
         if self.patience < 0:
             raise DataError("patience must be >= 0")
         if len(self.hidden_sizes) != 2:

@@ -30,6 +30,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,6 +112,8 @@ class ExperimentConfig:
         if not self.variants or len(set(self.variants)) != len(self.variants):
             raise UsageError(f"variants must name each variant at most once and not be empty, "
                              f"got {list(self.variants)}")
+        if not self.grid:
+            raise UsageError("grid must hold at least one [kernel_label, k] cell")
         # gbm.fit accepts zero trees, but their attributions are all zero, so
         # every gate would be a constant one half
         if self.gbm_config.n_trees < 1:
@@ -476,11 +479,8 @@ def _record_from_run(run):
         report = None
         if "metrics" in entry:
             m = entry["metrics"]
-            report = metrics.EvalReport(
-                precision=m["precision"], recall=m["recall"], f1=m["f1"],
-                accuracy=m["accuracy"], auc=m["auc"],
-                roc_points=[], n=run["n_test"],
-            )
+            report = metrics.EvalReport(**{name: m[name] for name in metrics.REPORTED},
+                                        roc_points=[], n=run["n_test"])
         variants[name] = VariantResult(
             report=report,
             gate_input_sha256=entry.get("gate_input_sha256"),
@@ -509,27 +509,26 @@ def _record_from_run(run):
 
 # ------------------------------------------------------------------ reporting
 
-def _median(values):
-    return float(np.median(np.asarray(values)))
-
-
 def _variant_metric_rows(records, variants):
-    """Median metrics across records, one row per variant."""
+    """(variant, medians) per variant: the median of each metrics.REPORTED
+    name across records as an attribute, or None if every record failed it."""
     rows = []
     for variant in variants:
         reports = [r.variants[variant].report for r in records
                    if variant in r.variants and r.variants[variant].report is not None]
-        if not reports:
-            rows.append((variant, None))
-            continue
-        rows.append((variant, {
-            "precision": _median([rep.precision for rep in reports]),
-            "recall": _median([rep.recall for rep in reports]),
-            "f1": _median([rep.f1 for rep in reports]),
-            "accuracy": _median([rep.accuracy for rep in reports]),
-            "auc": _median([rep.auc for rep in reports]),
-        }))
+        medians = SimpleNamespace(**{
+            name: float(np.median([getattr(rep, name) for rep in reports]))
+            for name in metrics.REPORTED
+        }) if reports else None
+        rows.append((variant, medians))
     return rows
+
+
+def _table_row(variant, medians, fmt, sep):
+    """The variant and its medians, each through fmt, joined by sep."""
+    cells = [("failed" if medians is None else fmt(getattr(medians, name)))
+             for name in metrics.REPORTED]
+    return sep.join([variant, *cells])
 
 
 def _median_record(records, variant="full"):
@@ -610,6 +609,15 @@ def check_writable(out_dir):
         raise UsageError(f"output directory {out_dir!r} is not writable: {e}") from e
 
 
+def _write_lines(out_dir, name, lines):
+    """Write lines, each newline-terminated, to out_dir/name atomically;
+    return the path."""
+    path = os.path.join(out_dir, name)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def emit_report(records, out_dir):
     """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest."""
     if not records:
@@ -627,32 +635,17 @@ def emit_report(records, out_dir):
     for ds, recs in sorted(by_dataset.items()):
         variants = [v for v in VARIANTS if any(v in r.variants for r in recs)]
         rows = _variant_metric_rows(recs, variants)
-        csv_path = os.path.join(out_dir, f"{ds}_metrics.csv")
-        lines = ["variant,precision,recall,f1,accuracy,auc"]
-        for variant, med in rows:
-            if med is None:
-                lines.append(f"{variant},failed,failed,failed,failed,failed")
-            else:
-                lines.append(
-                    f"{variant},{med['precision']!r},{med['recall']!r},"
-                    f"{med['f1']!r},{med['accuracy']!r},{med['auc']!r}"
-                )
-        with atomic_open(csv_path) as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(csv_path)
+        lines = [",".join(["variant", *metrics.REPORTED])]
+        lines += [_table_row(variant, med, repr, ",") for variant, med in rows]
+        written.append(_write_lines(out_dir, f"{ds}_metrics.csv", lines))
 
         roc_source = _median_record(recs)
         for variant in variants:
             vr = roc_source.variants.get(variant)
             if vr is None or vr.report is None or not vr.report.roc_points:
                 continue
-            roc_path = os.path.join(out_dir, f"{ds}_roc_{variant}.csv")
-            roc_lines = ["fpr,tpr"]
-            for fpr, tpr in vr.report.roc_points:
-                roc_lines.append(f"{fpr!r},{tpr!r}")
-            with atomic_open(roc_path) as fh:
-                fh.write("\n".join(roc_lines) + "\n")
-            written.append(roc_path)
+            roc_lines = ["fpr,tpr", *(f"{fpr!r},{tpr!r}" for fpr, tpr in vr.report.roc_points)]
+            written.append(_write_lines(out_dir, f"{ds}_roc_{variant}.csv", roc_lines))
 
         chosen = f"kernel={recs[0].chosen_kernel}, k={recs[0].chosen_k}"
         seeds = [r.master_seed for r in recs]
@@ -665,47 +658,38 @@ def emit_report(records, out_dir):
             "| variant | precision | recall | F1 | accuracy | AUC |",
             "|---|---|---|---|---|---|",
         ]
-        for variant, med in rows:
-            if med is None:
-                summary_lines.append(f"| {variant} | failed | failed | failed | failed | failed |")
-            else:
-                summary_lines.append(
-                    f"| {variant} | {med['precision']:.3f} | {med['recall']:.3f} "
-                    f"| {med['f1']:.3f} | {med['accuracy']:.3f} | {med['auc']:.3f} |"
-                )
+        summary_lines += [f"| {_table_row(variant, med, '{:.3f}'.format, ' | ')} |"
+                          for variant, med in rows]
         summary_lines.append("")
 
         full_row = dict(rows).get("full")
         if full_row is not None and ds in REFERENCE_F1:
-            deviation = full_row["f1"] - REFERENCE_F1[ds]
+            deviation = full_row.f1 - REFERENCE_F1[ds]
             within = abs(deviation) <= REFERENCE_TOLERANCE
             manifest["reference_check"][ds] = {
                 "reference_f1": REFERENCE_F1[ds],
-                "median_f1": full_row["f1"],
+                "median_f1": full_row.f1,
                 "deviation": deviation,
                 "tolerance": REFERENCE_TOLERANCE,
                 "within_tolerance": within,
             }
             note = "within" if within else "OUTSIDE"
             summary_lines += [
-                f"Reference check: median full F1 {full_row['f1']:.3f} vs reference "
+                f"Reference check: median full F1 {full_row.f1:.3f} vs reference "
                 f"{REFERENCE_F1[ds]:.2f} (deviation {deviation:+.3f}, {note} "
                 f"the +/-{REFERENCE_TOLERANCE} tolerance)",
                 "",
             ]
 
         manifest["datasets"][ds] = {
-            "variant_medians": {v: m for v, m in rows},
+            "variant_medians": {v: None if m is None else vars(m) for v, m in rows},
             "chosen_kernel": recs[0].chosen_kernel,
             "chosen_k": recs[0].chosen_k,
             "seeds": seeds,
         }
 
     manifest["runs"] = [_record_manifest(r) for r in records]
-    summary_path = os.path.join(out_dir, "summary.md")
-    with atomic_open(summary_path) as fh:
-        fh.write("\n".join(summary_lines) + "\n")
-    written.append(summary_path)
+    written.append(_write_lines(out_dir, "summary.md", summary_lines))
     manifest_path = os.path.join(out_dir, "manifest.json")
     with atomic_open(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -63,6 +63,18 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         {"gbm": {"n_trees": 2.5}},
         {"gbm": {"max_depth": 2.5}},
         {"gbm": {"min_samples_leaf": 1.5}},
+        # a step that is not a finite positive number (JSON NaN and Infinity)
+        {"gbm": {"learning_rate": float("inf")}},
+        {"gbm": {"learning_rate": float("nan")}},
+        {"step_size": float("inf")},
+        {"step_size": float("nan")},
+        # a grid with no cell, a grid or variant list that is no list, and a
+        # kernel label that is no string
+        {"grid": []},
+        {"grid": 5},
+        {"grid": [[5, 2]]},
+        {"variants": 5},
+        {"variants": "full"},
     ]):
         path = tmp_path / f"settings{i}.json"
         path.write_text(json.dumps(settings))
@@ -250,6 +262,30 @@ def test_cv_writes_grid_csv(capsys, tmp_path, heart_path, fast_config):
     assert lines[0] == "kernel,k,mean_f1,fold_f1,error"
     assert len(lines) == 1 + len(FAST["grid"])
     assert "linear" in capsys.readouterr().out
+
+
+def test_cv_shows_error_of_cell_that_failed_after_a_fold(capsys, tmp_path, heart_path,
+                                                         monkeypatch):
+    calls = []
+    real_train = shapgate.network.train
+
+    def fail_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise TrainingDivergedError(3)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(shapgate.network, "train", fail_second_call)
+    path = tmp_path / "two_cells.json"
+    path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3]]}))
+    argv = ["cv", "--dataset", "heart", "--data-path", heart_path, "--config", str(path)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    failed = next(line for line in lines if line.split()[:2] == ["linear", "2"])
+    # the one fold that finished shows its F1, then the reason the cell failed
+    kernel, k, mean_f1, fold_f1, error = failed.split(maxsplit=4)
+    assert (mean_f1, error) == ("nan", "training loss became non-finite at epoch 3")
+    assert 0.0 <= float(fold_f1) <= 1.0
 
 
 def test_explain_writes_shap_matrices(capsys, tmp_path, heart_path, fast_config):

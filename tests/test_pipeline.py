@@ -9,6 +9,7 @@ cluster structure IS the label so the recovered k is known in advance.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,27 @@ def test_report_from_manifest_reproduces_metrics_csv(tmp_path, small_record):
     assert (out1 / "diabetes_metrics.csv").read_bytes() == (out2 / "diabetes_metrics.csv").read_bytes()
     # ROC points are not stored in manifests, so no ROC files reappear
     assert not list(out2.glob("*_roc_*.csv"))
+
+
+def test_failed_variant_rows(tmp_path, small_record):
+    failed = pipeline.VariantResult(report=None, gate_input_sha256=None, train_seconds=0.0,
+                                    error="boom")
+    record = replace(small_record, variants={**small_record.variants, "random_attention": failed})
+    out1, out2 = tmp_path / "direct", tmp_path / "rendered"
+    pipeline.emit_report([record], out1)
+    pipeline.emit_report(pipeline.records_from_manifest(json.load(open(out1 / "manifest.json"))),
+                         out2)
+    for out in (out1, out2):
+        csv_lines = (out / "diabetes_metrics.csv").read_text().splitlines()
+        assert csv_lines[0] == "variant,precision,recall,f1,accuracy,auc"
+        assert "random_attention,failed,failed,failed,failed,failed" in csv_lines
+        summary_lines = (out / "summary.md").read_text().splitlines()
+        assert "| variant | precision | recall | F1 | accuracy | AUC |" in summary_lines
+        assert "| random_attention | failed | failed | failed | failed | failed |" in summary_lines
+    assert not (out1 / "diabetes_roc_random_attention.csv").exists()
+    assert (out1 / "diabetes_metrics.csv").read_bytes() == (out2 / "diabetes_metrics.csv").read_bytes()
+    manifest = json.load(open(out1 / "manifest.json"))
+    assert manifest["datasets"]["diabetes"]["variant_medians"]["random_attention"] is None
 
 
 def test_emit_report_unwritable_dir(tmp_path, small_record):
