@@ -163,15 +163,6 @@ def _print_record(record):
                 f"{metric}={getattr(vr.report, metric):.3f}" for metric in metrics.REPORTED))
 
 
-def _write(out_dir, name, text):
-    """Write one file in out_dir atomically and report it."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with pipeline.atomic_open(path) as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-
-
 def cmd_run(args):
     config = load_config(args)
     path = dataset.resolve_data_path(config.dataset, args.data_path)
@@ -203,7 +194,9 @@ def cmd_cv(args):
         for cell in result.cells:
             folds = ";".join(repr(v) for v in cell.fold_f1)
             lines.append(f"{cell.kernel},{cell.k},{cell.mean_f1!r},{folds},{cell.error or ''}")
-        _write(args.out, f"{config.dataset}_cv_grid.csv", "\n".join(lines) + "\n")
+        path = pipeline.write_text(args.out, f"{config.dataset}_cv_grid.csv",
+                                   "\n".join(lines) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
@@ -213,7 +206,9 @@ def cmd_explain(args):
     prepared = pipeline.prepare(config, path)
     core = pipeline.fit_core(prepared, config)
     for split, sm in (("train", core.shap_train), ("test", core.shap_test)):
-        _write(args.out, f"{config.dataset}_shap_{split}.csv", attribution.shap_matrix_to_csv(sm))
+        path = pipeline.write_text(args.out, f"{config.dataset}_shap_{split}.csv",
+                                   attribution.shap_matrix_to_csv(sm))
+        print(f"wrote {path}")
     print(f"base value {core.shap_train.base_value!r}")
     return 0
 
@@ -244,7 +239,8 @@ def cmd_cluster(args):
         lines.append(f"{row},test,{c}")
     sizes = ",".join(str(int(s)) for s in model.sizes)
     print(f"kernel={spec.label()} k={k} train cluster sizes [{sizes}]")
-    _write(args.out, f"{config.dataset}_clusters.csv", "\n".join(lines) + "\n")
+    path = pipeline.write_text(args.out, f"{config.dataset}_clusters.csv", "\n".join(lines) + "\n")
+    print(f"wrote {path}")
     return 0
 
 

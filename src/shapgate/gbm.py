@@ -40,8 +40,10 @@ class GbmConfig:
     def __post_init__(self):
         if self.n_trees < 0:
             raise DataError("n_trees must be >= 0")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        # a bool is no rate, though math.isfinite(True) holds
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not (math.isfinite(rate) and rate > 0):
+            raise DataError(f"learning_rate must be positive and finite, got {rate!r}")
         if self.max_depth <= 0 or self.min_samples_leaf <= 0:
             raise DataError("max_depth and min_samples_leaf must be positive")
 

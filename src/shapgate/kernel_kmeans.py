@@ -6,6 +6,13 @@ from x to cluster c is
 so only per-cluster sizes and pairwise kernel sums are stored. Seeding is
 greedy farthest-point in feature space; restarts keep the lowest objective.
 Ties everywhere break toward the lowest index.
+
+A restart often reaches an assignment that an earlier restart of the same
+fit passed through on its way to convergence. A Lloyd step depends only on
+the assignment it starts from, so from there the restart would retrace that
+run step for step and end on the same assignment and objective. When it can
+still converge within MAX_ITER, it is skipped: fit keeps a run only on a
+strictly lower objective, so the repeat could never have won.
 """
 
 import math
@@ -92,16 +99,25 @@ def kernel_matrix(spec, A, B=None):
     B = A if B is None else np.asarray(B, dtype=np.float64)
     if A.shape[1] != B.shape[1]:
         raise DataError(f"kernel dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    # each step works in place, in the order of the textbook expressions
+    # (A @ B.T + c) ** d and exp(-gamma * max(|a|^2 + |b|^2 - 2 A @ B.T, 0)),
+    # so every value is rounded as they round it
+    G = A @ B.T
     if spec.kind == "linear":
-        return A @ B.T
+        return G
     if spec.kind == "polynomial":
-        return (A @ B.T + spec.coef0) ** spec.degree
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+        G += spec.coef0
+        G **= spec.degree
+        return G
+    G *= 2.0
+    a2 = np.sum(A * A, axis=1)
+    b2 = a2 if B is A else np.sum(B * B, axis=1)
+    sq = np.add.outer(a2, b2)
+    sq -= G
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -spec.gamma
+    np.exp(sq, out=sq)
+    return sq
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -177,26 +193,40 @@ def _repair_empty(assignment, dist_own, sizes):
 def _greedy_seed_assignment(K, k, rng):
     n = K.shape[0]
     diag = np.diag(K).copy()
-    centers = [int(rng.integers(n))]
-    # distance in feature space to the nearest chosen center
-    best = diag - 2.0 * K[:, centers[0]] + diag[centers[0]]
+    # squared feature-space distance of every point to each chosen center
+    c = int(rng.integers(n))
+    dists = [diag - 2.0 * K[:, c] + diag[c]]
+    best = dists[0]  # distance to the nearest chosen center
     for _ in range(1, k):
-        nxt = int(np.argmax(best))
-        centers.append(nxt)
-        cand = diag - 2.0 * K[:, nxt] + diag[nxt]
-        best = np.minimum(best, cand)
-    dists = np.stack(
-        [diag - 2.0 * K[:, c] + diag[c] for c in centers], axis=1
-    )
-    return np.argmin(dists, axis=1)
+        c = int(np.argmax(best))
+        dists.append(diag - 2.0 * K[:, c] + diag[c])
+        best = np.minimum(best, dists[-1])
+    return np.argmin(np.stack(dists, axis=1), axis=1)
 
 
-def _lloyd(K, k, start, max_iter):
-    """Lloyd steps from the start assignment; (assignment, sizes, pair_sums, objective)."""
+def _lloyd(K, k, start, max_iter, seen=None):
+    """Lloyd steps from the start assignment; (assignment, sizes, pair_sums, objective).
+
+    `seen` maps the assignments that earlier converged runs of the same fit
+    started a step with (as compact bytes) to the number of further steps
+    that run took to converge. A run that reaches one of them with enough
+    steps left would end exactly as that run did; it records its own steps
+    and returns None instead.
+    """
     n = K.shape[0]
     diag = np.diag(K).copy()
     assignment = start.copy()
-    for _ in range(max_iter):
+    key_type = np.min_scalar_type(k - 1)
+    keys = []  # this run's step-start assignments, as `seen` keys
+    for it in range(max_iter):
+        if seen is not None:
+            key = assignment.astype(key_type).tobytes()
+            left = seen.get(key)
+            if left is not None and it + left < max_iter:
+                for i, prior in enumerate(keys):
+                    seen[prior] = it - i + left
+                return None
+            keys.append(key)
         sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
         if np.any(sizes == 0):
             d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
@@ -206,7 +236,11 @@ def _lloyd(K, k, start, max_iter):
         d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
         new_assignment = np.argmin(d, axis=1)
         if np.array_equal(new_assignment, assignment):
-            break  # converged: the sums and distances above are this assignment's
+            # converged: the sums and distances above are this assignment's
+            if seen is not None:
+                for i, prior in enumerate(keys):
+                    seen[prior] = it - i
+            break
         assignment = new_assignment
     else:
         # max_iter ran out: score the last assignment as it stands, unrepaired
@@ -225,10 +259,11 @@ def fit(vectors, k, spec, seed=0):
     K = kernel_matrix(spec, vectors)
     _require_finite(spec, K)
     best = None
+    seen = {}
     for r in range(N_RESTARTS):
         start = _greedy_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
-        run = _lloyd(K, k, start, MAX_ITER)
-        if best is None or run[3] < best[3]:
+        run = _lloyd(K, k, start, MAX_ITER, seen)
+        if run is not None and (best is None or run[3] < best[3]):
             best = run
     assignment, sizes, pair_sums, obj = best
     return ClusterModel(

@@ -44,8 +44,10 @@ class NetConfig:
     hidden_sizes: tuple = HIDDEN_SIZES
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise DataError(f"step_size must be positive and finite, got {self.step_size!r}")
+        # a bool is no step size, though math.isfinite(True) holds
+        step = self.step_size
+        if isinstance(step, bool) or not (math.isfinite(step) and step > 0):
+            raise DataError(f"step_size must be positive and finite, got {step!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise DataError("batch_size and max_epochs must be positive")
         if self.patience < 0:
@@ -87,8 +89,9 @@ class NetBatch:
         return self.x.shape[0]
 
     def take(self, idx):
-        """Row subset. The rows come from this already-checked batch, so the
-        subset is built without running the validation again."""
+        """Row subset (an index array or a slice). The rows come from this
+        already-checked batch, so the subset is built without running the
+        validation again."""
         sub = object.__new__(NetBatch)
         sub.x = self.x[idx]
         sub.shap = None if self.shap is None else self.shap[idx]
@@ -97,7 +100,7 @@ class NetBatch:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def init_params(p, config, n_clusters=0):
@@ -129,13 +132,13 @@ def _forward_full(params, batch):
     else:
         gate_sig = _sigmoid(batch.shap + params.delta)
         gated = gate_sig * batch.x
-    h0 = gated if batch.onehot is None else np.hstack([gated, batch.onehot])
+    h0 = gated if batch.onehot is None else np.concatenate((gated, batch.onehot), axis=1)
     z1 = h0 @ params.W1 + params.b1
     r1 = np.maximum(z1, 0.0)
     z2 = r1 @ params.W2 + params.b2
     r2 = np.maximum(z2, 0.0)
     logit = (r2 @ params.W3 + params.b3)[:, 0]
-    if not np.all(np.isfinite(logit)):
+    if not np.isfinite(logit).all():
         raise NumericalError("non-finite activation in forward pass")
     return logit, (gate_sig, h0, z1, r1, z2, r2)
 
@@ -148,7 +151,7 @@ def predict(params, batch):
 
 def bce_loss(logit, y):
     # softplus(z) - y*z, the stable form of -log p(y|z)
-    return float(np.mean(np.logaddexp(0.0, logit) - y * logit))
+    return float((np.logaddexp(0.0, logit) - y * logit).mean())
 
 
 def _backward(params, batch, logit, cache, y, out):
@@ -262,14 +265,18 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     val_losses = []
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, 0xE0, epoch]).permutation(train_batch.n)
+        # shuffle once per epoch; each mini-batch is then a contiguous slice
+        shuffled = train_batch.take(order)
+        y_shuffled = y_train[order]
         loss_sum = 0.0
         try:
             for lo in range(0, train_batch.n, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
-                loss, _ = loss_and_grads(params, train_batch.take(idx), y_train[idx], out=grads)
+                rows = slice(lo, lo + config.batch_size)
+                y_step = y_shuffled[rows]
+                loss, _ = loss_and_grads(params, shuffled.take(rows), y_step, out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch)
-                loss_sum += loss * idx.size
+                loss_sum += loss * y_step.size
                 step += 1
                 _adam_update(flat, grad, moment1, moment2, scratch, step, config.step_size)
             epoch_train = loss_sum / train_batch.n

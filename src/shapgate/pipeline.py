@@ -609,12 +609,13 @@ def check_writable(out_dir):
         raise UsageError(f"output directory {out_dir!r} is not writable: {e}") from e
 
 
-def _write_lines(out_dir, name, lines):
-    """Write lines, each newline-terminated, to out_dir/name atomically;
+def write_text(out_dir, name, text):
+    """Write text to out_dir/name atomically, making out_dir if needed;
     return the path."""
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     return path
 
 
@@ -623,7 +624,6 @@ def emit_report(records, out_dir):
     if not records:
         raise DataError("no records to report")
     check_writable(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
 
     by_dataset = {}
     for record in records:
@@ -637,7 +637,7 @@ def emit_report(records, out_dir):
         rows = _variant_metric_rows(recs, variants)
         lines = [",".join(["variant", *metrics.REPORTED])]
         lines += [_table_row(variant, med, repr, ",") for variant, med in rows]
-        written.append(_write_lines(out_dir, f"{ds}_metrics.csv", lines))
+        written.append(write_text(out_dir, f"{ds}_metrics.csv", "\n".join(lines) + "\n"))
 
         roc_source = _median_record(recs)
         for variant in variants:
@@ -645,7 +645,8 @@ def emit_report(records, out_dir):
             if vr is None or vr.report is None or not vr.report.roc_points:
                 continue
             roc_lines = ["fpr,tpr", *(f"{fpr!r},{tpr!r}" for fpr, tpr in vr.report.roc_points)]
-            written.append(_write_lines(out_dir, f"{ds}_roc_{variant}.csv", roc_lines))
+            roc_text = "\n".join(roc_lines) + "\n"
+            written.append(write_text(out_dir, f"{ds}_roc_{variant}.csv", roc_text))
 
         chosen = f"kernel={recs[0].chosen_kernel}, k={recs[0].chosen_k}"
         seeds = [r.master_seed for r in recs]
@@ -689,7 +690,7 @@ def emit_report(records, out_dir):
         }
 
     manifest["runs"] = [_record_manifest(r) for r in records]
-    written.append(_write_lines(out_dir, "summary.md", summary_lines))
+    written.append(write_text(out_dir, "summary.md", "\n".join(summary_lines) + "\n"))
     manifest_path = os.path.join(out_dir, "manifest.json")
     with atomic_open(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

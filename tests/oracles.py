@@ -11,6 +11,13 @@
 - loop_rank_auc / loop_roc_curve: the per-element tie-group loops that
   metrics._rank_auc and metrics._roc_curve replace with array code; the array
   code must return the same values, repr for repr.
+- loop_fit: the kernel k-means restart loop that runs every restart to the
+  end, with the greedy seeding that recomputes each center's distance
+  column; kernel_kmeans.fit skips the restarts that retrace an earlier one
+  and must return the same model, bit for bit.
+- expr_kernel_matrix: the kernel values as whole-array expressions, each
+  step a new array; kernel_kmeans.kernel_matrix works in place and must
+  return the same bytes.
 
 The rank-AUC-against-trapezoid-AUC check stays in the package itself:
 metrics.roc_auc raises when the two routes disagree.
@@ -21,6 +28,7 @@ import math
 import numpy as np
 
 from shapgate import gbm
+from shapgate import kernel_kmeans as kk
 from shapgate.attribution import _CM, _CP, MAX_PATH_FEATURES, ShapMatrix, _check_inputs
 from shapgate.errors import DataError
 
@@ -195,3 +203,52 @@ def loop_roc_curve(scores, labels):
         points.append((fp / n_neg, tp / n_pos))
         i = j + 1
     return points
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def expr_kernel_matrix(spec, A, B=None):
+    """Pairwise kernel values H(A_i, B_j), shape (len(A), len(B))."""
+    A = np.asarray(A, dtype=np.float64)
+    B = A if B is None else np.asarray(B, dtype=np.float64)
+    if spec.kind == "linear":
+        return A @ B.T
+    if spec.kind == "polynomial":
+        return (A @ B.T + spec.coef0) ** spec.degree
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+
+
+def loop_seed_assignment(K, k, rng):
+    """Greedy farthest-point seeding; the distance columns are recomputed."""
+    n = K.shape[0]
+    diag = np.diag(K).copy()
+    centers = [int(rng.integers(n))]
+    best = diag - 2.0 * K[:, centers[0]] + diag[centers[0]]
+    for _ in range(1, k):
+        nxt = int(np.argmax(best))
+        centers.append(nxt)
+        cand = diag - 2.0 * K[:, nxt] + diag[nxt]
+        best = np.minimum(best, cand)
+    dists = np.stack([diag - 2.0 * K[:, c] + diag[c] for c in centers], axis=1)
+    return np.argmin(dists, axis=1)
+
+
+def loop_fit(vectors, k, spec, seed=0):
+    """Kernel k-means that runs all N_RESTARTS restarts to the end; the
+    lowest objective wins, the first on ties."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    K = expr_kernel_matrix(spec, vectors)
+    kk._require_finite(spec, K)
+    best = None
+    for r in range(kk.N_RESTARTS):
+        start = loop_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
+        run = kk._lloyd(K, k, start, kk.MAX_ITER)
+        if best is None or run[3] < best[3]:
+            best = run
+    assignment, sizes, pair_sums, obj = best
+    return kk.ClusterModel(spec=spec, k=k, vectors=vectors, assignment=assignment,
+                           sizes=sizes, pair_sums=pair_sums, objective=obj)

@@ -68,6 +68,9 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         {"gbm": {"learning_rate": float("nan")}},
         {"step_size": float("inf")},
         {"step_size": float("nan")},
+        # a bool where a rate is expected
+        {"gbm": {"learning_rate": True}},
+        {"step_size": True},
         # a grid with no cell, a grid or variant list that is no list, and a
         # kernel label that is no string
         {"grid": []},

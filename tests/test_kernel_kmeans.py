@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import expr_kernel_matrix, loop_fit
 
 from shapgate import kernel_kmeans as kk
 from shapgate import pipeline
@@ -321,3 +324,109 @@ def test_assign_batch_rejects_overflowing_rows():
     assert kk.assign_batch(model, X).shape == (20,)
     with pytest.raises(NumericalError):
         kk.assign_batch(model, np.full((1, 3), 1e10))
+
+
+KERNEL_LABELS = ["linear", "poly_d2_c0", "poly_d3_c1", "rbf_g0.1", "rbf_g1", "rbf_g10"]
+
+
+def model_bytes(model):
+    return (model.assignment.tobytes(), model.sizes.tobytes(), model.pair_sums.tobytes(),
+            repr(model.objective))
+
+
+@st.composite
+def fit_cases(draw):
+    """Small problems, half of them on an integer lattice with repeated rows,
+    so that restarts often meet an assignment an earlier restart passed."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, size=(n, p)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, p))
+    k = draw(st.integers(1, min(n, 6)))
+    return X, k, kk.spec_from_label(draw(st.sampled_from(KERNEL_LABELS))), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_cases())
+@example((np.arange(12.0)[:, None], 3, LINEAR, 0))  # n <= 12: restarts repeat their starts
+@example((np.repeat(np.eye(3), 3, axis=0), 3, kk.spec_from_label("rbf_g1"), 1))  # duplicated rows
+@example((np.zeros((5, 2)), 2, LINEAR, 0))  # every point the same: repairs at every start
+def test_fit_matches_the_restart_loop(case):
+    # skipping a restart that retraces an earlier one returns the same model
+    # as running every restart to the end
+    X, k, spec, seed = case
+    assert model_bytes(kk.fit(X, k, spec, seed)) == model_bytes(loop_fit(X, k, spec, seed))
+
+
+def test_fit_skips_repeated_restarts_on_small_problems():
+    # on a tiny problem the seeded restarts share start assignments, so the
+    # skip path runs; the model is still the loop's
+    X = np.random.default_rng(3).normal(size=(10, 2))
+    calls = []
+    lloyd = kk._lloyd
+
+    def counted(*args):
+        calls.append(lloyd(*args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kk, "_lloyd", counted)
+        model = kk.fit(X, 3, LINEAR, seed=0)
+    assert len(calls) == kk.N_RESTARTS
+    assert calls[0] is not None and sum(run is None for run in calls) > 0
+    assert model_bytes(model) == model_bytes(loop_fit(X, 3, LINEAR, seed=0))
+
+
+def test_lloyd_carries_on_when_a_seen_run_needs_more_steps_than_left():
+    # a run that reaches a recorded assignment without the steps to converge
+    # from it must run on and return what it returns without `seen`
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(40, 3))
+    K = kk.kernel_matrix(LINEAR, X)
+    start = rng.integers(0, 4, size=40)
+    seen = {}
+    converged = kk._lloyd(K, 4, start, kk.MAX_ITER, seen)
+    steps = seen[start.astype(np.uint8).tobytes()]  # further steps from start
+    assert steps >= 2 and len(seen) == steps + 1
+    recorded = dict(seen)
+    for max_iter in (1, steps - 1, steps):
+        cut = kk._lloyd(K, 4, start, max_iter, seen)
+        plain = kk._lloyd(K, 4, start, max_iter)
+        assert cut is not None
+        assert [a.tobytes() for a in cut[:3]] == [a.tobytes() for a in plain[:3]]
+        assert repr(cut[3]) == repr(plain[3])
+        assert seen == recorded  # a run cut off by max_iter records nothing
+    assert kk._lloyd(K, 4, start, steps + 1, seen) is None
+    assert kk._lloyd(K, 4, start, steps + 1)[0].tobytes() == converged[0].tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    A = scale * rng.normal(size=(draw(st.integers(1, 30)), p))
+    B = None if draw(st.booleans()) else scale * rng.normal(size=(draw(st.integers(1, 30)), p))
+    labels = KERNEL_LABELS + ["poly_d1_c-2.5", "poly_d400_c1", "poly_d2_c1e200", "rbf_g1e-05"]
+    return kk.spec_from_label(draw(st.sampled_from(labels))), A, B
+
+
+OVERFLOW_ROWS = 3.0 * np.random.default_rng(0).normal(size=(20, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, None))
+@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, OVERFLOW_ROWS[:4]))
+@example((kk.spec_from_label("rbf_g1"), OVERFLOW_ROWS, OVERFLOW_ROWS))  # B equal to A, not A
+def test_kernel_matrix_matches_the_expressions(case):
+    # the poly_d400_c1 examples overflow to inf on these rows, as
+    # test_overflowing_kernel_raises_numerical_error checks
+    spec, A, B = case
+    fast = kk.kernel_matrix(spec, A, B)
+    slow = expr_kernel_matrix(spec, A, B)
+    assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+
