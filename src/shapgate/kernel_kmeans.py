@@ -13,8 +13,17 @@ the assignment it starts from, so from there the restart would retrace that
 run step for step and end on the same assignment and objective. When it can
 still converge within MAX_ITER, it is skipped: fit keeps a run only on a
 strictly lower objective, so the repeat could never have won.
+
+The bits of every result are set by a few operations: kernel_matrix, the
+greedy-seeding distance columns, the `K @ members` product and the einsum
+of each cluster's pair sum, the distance expression of _point_cluster_dist2,
+and every argmin and argmax. The bookkeeping around them (the indicator
+buffer refilled in place, the sizes counted by bincount, the distances
+computed in place) may change only if those operations keep their order and
+their operands; the loop oracles in tests/oracles.py check the bytes.
 """
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -157,19 +166,33 @@ def onehot(assignment, k):
     return out
 
 
-def _cluster_sums(K, assignment, k):
-    members = onehot(assignment, k)
-    sizes = members.sum(axis=0)
+def _cluster_sums(K, assignment, k, members=None, rows=None):
+    """(sizes, pair_sums, cross) of an assignment. `members` and `rows` are an
+    (n, k) buffer refilled with the indicator matrix and np.arange(n); a Lloyd
+    run allocates them once, and they are allocated here when not given."""
+    if members is None:
+        members = np.empty((K.shape[0], k))
+        rows = np.arange(K.shape[0])
+    members.fill(0.0)
+    members[rows, assignment] = 1.0
+    # the counts members.sum(axis=0) would give, as the same float64 integers
+    sizes = np.bincount(assignment, minlength=k).astype(np.float64)
     cross = K @ members  # cross[i, c] = sum_{j in c} K[i, j]
     pair_sums = np.einsum("ic,ic->c", members, cross)
     return sizes, pair_sums, cross
 
 
 def _point_cluster_dist2(K_diag, cross, sizes, pair_sums):
-    # rows: points, cols: clusters; empty clusters get +inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = K_diag[:, None] - 2.0 * cross / sizes[None, :] + (pair_sums / sizes**2)[None, :]
-    d[:, sizes == 0] = np.inf
+    # rows: points, cols: clusters; empty clusters get +inf. Computed in place,
+    # in the order of diag - 2 * cross / sizes + pair_sums / sizes**2.
+    empty = not sizes.all()
+    with np.errstate(divide="ignore", invalid="ignore") if empty else contextlib.nullcontext():
+        d = cross * 2.0
+        d /= sizes
+        np.subtract(K_diag[:, None], d, out=d)
+        d += pair_sums / sizes**2
+    if empty:
+        d[:, sizes == 0] = np.inf
     return d
 
 
@@ -215,6 +238,8 @@ def _lloyd(K, k, start, max_iter, seen=None):
     """
     n = K.shape[0]
     diag = np.diag(K).copy()
+    rows = np.arange(n)
+    members = np.empty((n, k))  # the indicator matrix, refilled each step
     assignment = start.copy()
     key_type = np.min_scalar_type(k - 1)
     keys = []  # this run's step-start assignments, as `seen` keys
@@ -227,15 +252,15 @@ def _lloyd(K, k, start, max_iter, seen=None):
                     seen[prior] = it - i + left
                 return None
             keys.append(key)
-        sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
-        if np.any(sizes == 0):
+        sizes, pair_sums, cross = _cluster_sums(K, assignment, k, members, rows)
+        if not sizes.all():
             d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
-            dist_own = d[np.arange(n), assignment]
+            dist_own = d[rows, assignment]
             assignment = _repair_empty(assignment, dist_own, sizes.copy())
-            sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
+            sizes, pair_sums, cross = _cluster_sums(K, assignment, k, members, rows)
         d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
-        new_assignment = np.argmin(d, axis=1)
-        if np.array_equal(new_assignment, assignment):
+        new_assignment = d.argmin(axis=1)
+        if (new_assignment == assignment).all():
             # converged: the sums and distances above are this assignment's
             if seen is not None:
                 for i, prior in enumerate(keys):
@@ -244,9 +269,9 @@ def _lloyd(K, k, start, max_iter, seen=None):
         assignment = new_assignment
     else:
         # max_iter ran out: score the last assignment as it stands, unrepaired
-        sizes, pair_sums, cross = _cluster_sums(K, assignment, k)
+        sizes, pair_sums, cross = _cluster_sums(K, assignment, k, members, rows)
         d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
-    obj = float(np.maximum(d[np.arange(n), assignment], 0.0).sum())
+    obj = float(np.maximum(d[rows, assignment], 0.0).sum())
     return assignment, sizes, pair_sums, obj
 
 

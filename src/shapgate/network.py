@@ -17,6 +17,11 @@ restored. Each epoch makes one full forward pass, over the validation batch;
 the training curve reuses the mini-batch losses. All arithmetic is float64
 numpy; gradients are hand-derived and checked against central finite
 differences in the tests.
+
+The bits of every result are set by the forward, loss, backward and Adam
+operations, in the order written. A rewrite of the code around them must
+keep each operation's operands and order; the reference forward, loss and
+trainer in the tests, written as whole-array expressions, check the bytes.
 """
 
 import math

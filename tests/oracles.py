@@ -11,10 +11,15 @@
 - loop_rank_auc / loop_roc_curve: the per-element tie-group loops that
   metrics._rank_auc and metrics._roc_curve replace with array code; the array
   code must return the same values, repr for repr.
+- loop_lloyd: the Lloyd iteration with a fresh indicator matrix, sizes
+  summed from it and the masked distance expression at every step, and no
+  skipping; kernel_kmeans._lloyd refills one indicator buffer, counts sizes
+  with bincount and computes the distances in place, and must return the
+  same bytes.
 - loop_fit: the kernel k-means restart loop that runs every restart to the
-  end, with the greedy seeding that recomputes each center's distance
-  column; kernel_kmeans.fit skips the restarts that retrace an earlier one
-  and must return the same model, bit for bit.
+  end through loop_lloyd, with the greedy seeding that recomputes each
+  center's distance column; kernel_kmeans.fit skips the restarts that
+  retrace an earlier one and must return the same model, bit for bit.
 - expr_kernel_matrix: the kernel values as whole-array expressions, each
   step a new array; kernel_kmeans.kernel_matrix works in place and must
   return the same bytes.
@@ -237,6 +242,67 @@ def loop_seed_assignment(K, k, rng):
     return np.argmin(dists, axis=1)
 
 
+def loop_cluster_sums(K, assignment, k):
+    """(sizes, pair_sums, cross) from a fresh (n, k) indicator matrix."""
+    n = len(assignment)
+    members = np.zeros((n, k))
+    members[np.arange(n), assignment] = 1.0
+    sizes = members.sum(axis=0)
+    cross = K @ members  # cross[i, c] = sum_{j in c} K[i, j]
+    pair_sums = np.einsum("ic,ic->c", members, cross)
+    return sizes, pair_sums, cross
+
+
+def loop_dist2(K_diag, cross, sizes, pair_sums):
+    """(n, k) squared distances to the implicit centroids; +inf for empty clusters."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = K_diag[:, None] - 2.0 * cross / sizes[None, :] + (pair_sums / sizes**2)[None, :]
+    d[:, sizes == 0] = np.inf
+    return d
+
+
+def loop_repair_empty(assignment, dist_own, sizes):
+    """Move the worst-placed point from a multi-member cluster into each empty one."""
+    for c in range(sizes.size):
+        if sizes[c] > 0:
+            continue
+        movable = sizes[assignment] >= 2
+        if not np.any(movable):
+            raise DataError("cannot repair empty cluster: no donor cluster has 2 members")
+        worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
+        sizes[assignment[worst]] -= 1
+        assignment[worst] = c
+        sizes[c] = 1
+    return assignment
+
+
+def loop_lloyd(K, k, start, max_iter):
+    """Lloyd steps from start; (assignment, sizes, pair_sums, objective).
+
+    Empty clusters are repaired before each step's distances; when max_iter
+    runs out, the last assignment is scored as it stands, unrepaired.
+    """
+    n = K.shape[0]
+    diag = np.diag(K).copy()
+    assignment = start.copy()
+    for _ in range(max_iter):
+        sizes, pair_sums, cross = loop_cluster_sums(K, assignment, k)
+        if np.any(sizes == 0):
+            d = loop_dist2(diag, cross, sizes, pair_sums)
+            assignment = loop_repair_empty(assignment, d[np.arange(n), assignment], sizes.copy())
+            sizes, pair_sums, cross = loop_cluster_sums(K, assignment, k)
+        d = loop_dist2(diag, cross, sizes, pair_sums)
+        new_assignment = np.argmin(d, axis=1)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    else:
+        sizes, pair_sums, cross = loop_cluster_sums(K, assignment, k)
+        d = loop_dist2(diag, cross, sizes, pair_sums)
+    obj = float(np.maximum(d[np.arange(n), assignment], 0.0).sum())
+    return assignment, sizes, pair_sums, obj
+
+
 def loop_fit(vectors, k, spec, seed=0):
     """Kernel k-means that runs all N_RESTARTS restarts to the end; the
     lowest objective wins, the first on ties."""
@@ -246,7 +312,7 @@ def loop_fit(vectors, k, spec, seed=0):
     best = None
     for r in range(kk.N_RESTARTS):
         start = loop_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
-        run = kk._lloyd(K, k, start, kk.MAX_ITER)
+        run = loop_lloyd(K, k, start, kk.MAX_ITER)
         if best is None or run[3] < best[3]:
             best = run
     assignment, sizes, pair_sums, obj = best

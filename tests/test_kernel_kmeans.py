@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expr_kernel_matrix, loop_fit
+from oracles import expr_kernel_matrix, loop_fit, loop_lloyd, loop_seed_assignment
 
 from shapgate import kernel_kmeans as kk
 from shapgate import pipeline
@@ -255,6 +255,19 @@ def test_lloyd_returns_the_sums_of_its_assignment(spec):
     assert cut_short > 0
 
 
+def test_assign_batch_never_picks_an_empty_cluster():
+    # _lloyd reads only the distances of occupied clusters, so the +inf mask
+    # on empty ones is what keeps assign_batch off a cluster a model left empty
+    X = np.array([[0.0], [1.0], [5.0], [6.0]])
+    model = kk.ClusterModel(
+        spec=LINEAR, k=3, vectors=X, assignment=np.array([0, 0, 2, 2]),
+        sizes=np.array([2.0, 0.0, 2.0]), pair_sums=np.array([1.0, 0.0, 121.0]), objective=1.0,
+    )
+    d = kk._centroid_dist2(model, X)
+    assert np.isposinf(d[:, 1]).all() and np.isfinite(d[:, [0, 2]]).all()
+    assert kk.assign_batch(model, X).tolist() == [0, 0, 2, 2]
+
+
 def test_empty_cluster_repair_keeps_k_clusters():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     init = np.array([0, 0, 1, 1])
@@ -359,6 +372,46 @@ def test_fit_matches_the_restart_loop(case):
     # as running every restart to the end
     X, k, spec, seed = case
     assert model_bytes(kk.fit(X, k, spec, seed)) == model_bytes(loop_fit(X, k, spec, seed))
+
+
+@st.composite
+def lloyd_cases(draw):
+    """A fit case's kernel with a start that is greedy-seeded, uniform, or
+    leaves cluster k-1 empty, so that the repair and the masked distances run;
+    max_iter 1 often ends on an unconverged, unrepaired assignment."""
+    X, k, spec, seed = draw(fit_cases())
+    K = kk.kernel_matrix(spec, X)
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["seeded", "uniform", "empty"]))
+    if kind == "seeded":
+        start = loop_seed_assignment(K, k, rng)
+    else:
+        start = rng.integers(0, k if kind == "uniform" else max(k - 1, 1), size=X.shape[0])
+    return K, k, start, draw(st.sampled_from([1, kk.MAX_ITER]))
+
+
+def lloyd_bytes(lloyd, K, k, start, max_iter):
+    try:
+        assignment, sizes, pair_sums, obj = lloyd(K, k, start, max_iter)
+    except DataError as err:
+        return str(err)
+    return assignment.tobytes(), sizes.tobytes(), pair_sums.tobytes(), repr(obj)
+
+
+SIX_POINTS = kk.kernel_matrix(LINEAR, np.arange(6.0)[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lloyd_cases())
+@example((SIX_POINTS, 3, np.array([0, 0, 0, 1, 1, 1]), 1))  # cluster 2 starts empty
+@example((SIX_POINTS, 3, np.array([0, 0, 0, 1, 1, 1]), kk.MAX_ITER))
+# every point the same (K = 0): every step repairs, and max_iter ends on an empty cluster
+@example((np.zeros((5, 5)), 2, np.zeros(5, dtype=np.int64), kk.MAX_ITER))
+def test_lloyd_matches_the_step_loop(case):
+    # the refilled indicator buffer, bincount sizes and in-place distances
+    # give the bytes of a fresh indicator matrix and the masked expression
+    K, k, start, max_iter = case
+    assert lloyd_bytes(kk._lloyd, K, k, start, max_iter) == lloyd_bytes(loop_lloyd, K, k, start, max_iter)
 
 
 def test_fit_skips_repeated_restarts_on_small_problems():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapgate import network
 from shapgate.errors import DataError, TrainingDivergedError
@@ -57,12 +59,37 @@ def finite_difference_check(params, batch, y, step=1e-5, rel_tol=1e-4):
             )
 
 
+def reference_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
+
+
+def reference_forward(params, batch):
+    """The forward pass as whole-array expressions, each value a fresh array;
+    (logit, backprop cache)."""
+    if batch.shap is None:
+        gated, gate_sig = batch.x, None
+    else:
+        gate_sig = reference_sigmoid(batch.shap + params.delta)
+        gated = gate_sig * batch.x
+    h0 = gated if batch.onehot is None else np.concatenate((gated, batch.onehot), axis=1)
+    z1 = h0 @ params.W1 + params.b1
+    r1 = np.maximum(z1, 0.0)
+    z2 = r1 @ params.W2 + params.b2
+    r2 = np.maximum(z2, 0.0)
+    logit = (r2 @ params.W3 + params.b3)[:, 0]
+    return logit, (gate_sig, h0, z1, r1, z2, r2)
+
+
+def reference_bce(logit, y):
+    return float((np.logaddexp(0.0, logit) - y * logit).mean())
+
+
 def reference_loss_and_grads(params, batch, y):
     """Backward pass as it was before the flat buffer: every gradient a fresh
     array from `@` and `.sum`, no `out=` targets."""
-    logit, (gate_sig, h0, z1, r1, z2, r2) = network._forward_full(params, batch)
+    logit, (gate_sig, h0, z1, r1, z2, r2) = reference_forward(params, batch)
     p = batch.x.shape[1]
-    dlogit = (network._sigmoid(logit) - y)[:, None] / batch.n
+    dlogit = (reference_sigmoid(logit) - y)[:, None] / batch.n
     dz2 = (dlogit @ params.W3.T) * (z2 > 0)
     dz1 = (dz2 @ params.W2.T) * (z1 > 0)
     if gate_sig is None:
@@ -73,7 +100,7 @@ def reference_loss_and_grads(params, batch, y):
     grads = {"delta": gdelta, "W1": h0.T @ dz1, "b1": dz1.sum(axis=0),
              "W2": r1.T @ dz2, "b2": dz2.sum(axis=0),
              "W3": r2.T @ dlogit, "b3": dlogit.sum(axis=0)}
-    return network.bce_loss(logit, y), grads
+    return reference_bce(logit, y), grads
 
 
 def copy_params(params):
@@ -122,7 +149,7 @@ def reference_train(train_batch, train_labels, val_batch, val_labels, config):
                     config.step_size * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
                 )
         train_losses.append(loss_sum / train_batch.n)
-        val_losses.append(network.bce_loss(network._forward_full(params, val_batch)[0], y_val))
+        val_losses.append(reference_bce(reference_forward(params, val_batch)[0], y_val))
         if val_losses[-1] < best_loss:
             best_loss = val_losses[-1]
             best = copy_params(params)
@@ -354,6 +381,47 @@ def test_train_matches_reference_when_validating_on_training_set():
     batch, y = labelled_batch(109, n=40)
     config = network.NetConfig(step_size=1e-2, batch_size=16, max_epochs=15, seed=113)
     train_both(batch, y, batch, y, config)
+
+
+@st.composite
+def step_cases(draw):
+    """One training step's inputs, wired as the pipeline wires its variants,
+    at input scales from 0.01 to 100."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 30))
+    width = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([0.01, 1.0, 10.0, 100.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    onehot = np.zeros((n, width))
+    if width:
+        onehot[np.arange(n), rng.integers(0, width, size=n)] = 1.0
+    source = network.NetBatch(x=scale * rng.normal(size=(n, p)),
+                              shap=scale * rng.normal(size=(n, p)), onehot=onehot)
+    cluster = draw(st.booleans())
+    config = network.NetConfig(seed=seed % 1000, hidden_sizes=(draw(st.integers(1, 50)),
+                                                                draw(st.integers(1, 30))))
+    batch = wire(source, draw(st.sampled_from(["shap", "random", "off"])), cluster, config.seed)
+    params = network.init_params(p, config, n_clusters=width if cluster else 0)
+    params.delta[...] = rng.normal(size=p)  # off the zero init, so the gate matters
+    return params, batch, rng.integers(0, 2, size=n).astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_loss_and_grads_match_the_expressions(case):
+    # the module's forward, loss and backward give the bytes of the
+    # reference expressions, with and without `out=` targets
+    params, batch, y = case
+    ref_loss, ref_grads = reference_loss_and_grads(params, batch, y)
+    out = {k: np.empty_like(getattr(params, k)) for k in network.PARAM_GROUPS}
+    for grads_out in (None, out):
+        loss, grads = network.loss_and_grads(params, batch, y, out=grads_out)
+        assert repr(loss) == repr(ref_loss)
+        for name in network.PARAM_GROUPS:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    probs = network.predict(params, batch)
+    assert probs.tobytes() == reference_sigmoid(reference_forward(params, batch)[0]).tobytes()
 
 
 def test_one_full_forward_pass_per_epoch(monkeypatch):

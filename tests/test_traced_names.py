@@ -1,10 +1,16 @@
 """The traced benchmark run (shapbench/spans.py) wraps shapgate functions by
-module attribute name; a renamed or deleted function must fail here rather
-than in the benchmark run."""
+module attribute name; a renamed or deleted function, or a call that stops
+going through the module attribute, must fail here rather than skew the
+benchmark's counts."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
+
+from shapgate import kernel_kmeans, network
 
 SPANS = Path(__file__).resolve().parent.parent / "shapbench" / "spans.py"
 
@@ -20,3 +26,37 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"shapgate.{layer}"), name, None))
     ]
     assert spans.TRACED and not missing, f"traced names missing from shapgate: {missing}"
+
+
+def counting(monkeypatch, module, name, calls):
+    """Replace module.name with a wrapper that appends each call's name to `calls`."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_traced_counts_come_from_module_attribute_calls(monkeypatch):
+    """The tracer's network.steps counts network.loss_and_grads calls and its
+    kernel_matrix_calls counts kernel_kmeans.kernel_matrix calls, each looked
+    up by module attribute: train must make one call per step, and fit and
+    assign_batch one kernel_matrix call each."""
+    calls = []
+    counting(monkeypatch, network, "loss_and_grads", calls)
+    counting(monkeypatch, kernel_kmeans, "kernel_matrix", calls)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(41, 3))
+    y = (X[:, 0] > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    batch = network.NetBatch(x=X)
+    config = network.NetConfig(batch_size=8, max_epochs=4, seed=1)
+    result = network.train(batch, y, batch, y, config)
+    assert calls == ["loss_and_grads"] * len(result.train_losses) * math.ceil(41 / 8)
+    calls.clear()
+    model = kernel_kmeans.fit(X, 3, kernel_kmeans.KernelSpec("radial", gamma=0.5), seed=2)
+    assert calls == ["kernel_matrix"]
+    kernel_kmeans.assign_batch(model, X[:7])
+    assert calls == ["kernel_matrix"] * 2
