@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -100,10 +101,9 @@ def _grid_from_json(cells):
     return grid
 
 
-_CONFIG_KEYS = {
-    "dataset", "master_seed", "n_seeds", "holdout_fraction", "n_folds",
-    "gbm", "grid", "step_size", "batch_size", "max_epochs", "patience", "variants",
-}
+# a config file names ExperimentConfig's fields, with "gbm" for gbm_config
+_CONFIG_KEYS = {"gbm" if f.name == "gbm_config" else f.name
+                for f in dataclasses.fields(pipeline.ExperimentConfig)}
 
 
 def load_config(args):

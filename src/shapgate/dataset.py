@@ -9,7 +9,7 @@ only) and one-hot encoding of categorical columns.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ LABEL = "label"
 
 @dataclass
 class Schema:
-    name: str
     column_names: list[str]
     column_kinds: list[str]  # parallel to column_names
     has_header: bool
@@ -108,7 +107,6 @@ _CREDIT_COLUMNS = (
 
 SCHEMAS = {
     "diabetes": Schema(
-        name="diabetes",
         column_names=[c for c, _ in _DIABETES_COLUMNS],
         column_kinds=[k for _, k in _DIABETES_COLUMNS],
         has_header=True,
@@ -116,7 +114,6 @@ SCHEMAS = {
         default_filename="diabetes_data_upload.csv",
     ),
     "heart": Schema(
-        name="heart",
         column_names=[c for c, _ in _HEART_COLUMNS],
         column_kinds=[k for _, k in _HEART_COLUMNS],
         has_header=False,
@@ -124,7 +121,6 @@ SCHEMAS = {
         default_filename="processed.cleveland.data",
     ),
     "credit": Schema(
-        name="credit",
         column_names=[c for c, _ in _CREDIT_COLUMNS],
         column_kinds=[k for _, k in _CREDIT_COLUMNS],
         has_header=False,
@@ -151,18 +147,10 @@ class RawTable:
 
 
 @dataclass
-class ScalerParams:
-    column: str
-    mean: float
-    std: float  # population (divide by n)
-
-
-@dataclass
 class FeatureMatrix:
     values: np.ndarray  # (n, p) float64
     labels: np.ndarray  # (n,) int64
     column_meta: list[tuple[str, str]]  # (source column, "scaled" or "level=<v>")
-    scaler_params: list[ScalerParams]
 
     @property
     def feature_names(self):
@@ -327,7 +315,6 @@ def fit_transform(table, training_row_ids):
     n = table.n_rows
     blocks = []
     column_meta = []
-    scaler_params = []
     for col in range(table.n_columns):
         name = table.column_names[col]
         cells = [r[col] for r in table.rows]
@@ -342,7 +329,6 @@ def fit_transform(table, training_row_ids):
                 raise DataError(f"continuous column {name!r} has zero variance on training rows")
             blocks.append(((vals - mean) / std)[:, None])
             column_meta.append((name, "scaled"))
-            scaler_params.append(ScalerParams(column=name, mean=mean, std=std))
         else:
             levels = []
             for c in cells:
@@ -362,7 +348,6 @@ def fit_transform(table, training_row_ids):
         values=values,
         labels=np.asarray(table.labels, dtype=np.int64),
         column_meta=column_meta,
-        scaler_params=scaler_params,
     )
 
 

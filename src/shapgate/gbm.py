@@ -57,7 +57,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    n_samples: np.ndarray
 
     def predict(self, X):
         """Leaf value reached by each row of X."""
@@ -112,7 +111,6 @@ class _TreeBuilder:
             left=np.asarray([nd["left"] for nd in self.nodes], dtype=np.int32),
             right=np.asarray([nd["right"] for nd in self.nodes], dtype=np.int32),
             value=np.asarray([nd["value"] for nd in self.nodes], dtype=np.float64),
-            n_samples=np.asarray([nd["n_samples"] for nd in self.nodes], dtype=np.int32),
         )
 
     def _leaf_value(self, rows):
@@ -127,7 +125,6 @@ class _TreeBuilder:
             "left": -1,
             "right": -1,
             "value": self._leaf_value(rows),
-            "n_samples": rows.size,
         }
         self.nodes.append(node)
         if depth >= self.max_depth or rows.size < 2 * self.min_leaf or rows.size < 2:

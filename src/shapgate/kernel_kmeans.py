@@ -166,13 +166,10 @@ def onehot(assignment, k):
     return out
 
 
-def _cluster_sums(K, assignment, k, members=None, rows=None):
+def _cluster_sums(K, assignment, k, members, rows):
     """(sizes, pair_sums, cross) of an assignment. `members` and `rows` are an
-    (n, k) buffer refilled with the indicator matrix and np.arange(n); a Lloyd
-    run allocates them once, and they are allocated here when not given."""
-    if members is None:
-        members = np.empty((K.shape[0], k))
-        rows = np.arange(K.shape[0])
+    (n, k) buffer refilled with the indicator matrix and np.arange(n), which a
+    Lloyd run allocates once."""
     members.fill(0.0)
     members[rows, assignment] = 1.0
     # the counts members.sum(axis=0) would give, as the same float64 integers
@@ -227,7 +224,7 @@ def _greedy_seed_assignment(K, k, rng):
     return np.argmin(np.stack(dists, axis=1), axis=1)
 
 
-def _lloyd(K, k, start, max_iter, seen=None):
+def _lloyd(K, k, start, max_iter, seen):
     """Lloyd steps from the start assignment; (assignment, sizes, pair_sums, objective).
 
     `seen` maps the assignments that earlier converged runs of the same fit
@@ -244,14 +241,13 @@ def _lloyd(K, k, start, max_iter, seen=None):
     key_type = np.min_scalar_type(k - 1)
     keys = []  # this run's step-start assignments, as `seen` keys
     for it in range(max_iter):
-        if seen is not None:
-            key = assignment.astype(key_type).tobytes()
-            left = seen.get(key)
-            if left is not None and it + left < max_iter:
-                for i, prior in enumerate(keys):
-                    seen[prior] = it - i + left
-                return None
-            keys.append(key)
+        key = assignment.astype(key_type).tobytes()
+        left = seen.get(key)
+        if left is not None and it + left < max_iter:
+            for i, prior in enumerate(keys):
+                seen[prior] = it - i + left
+            return None
+        keys.append(key)
         sizes, pair_sums, cross = _cluster_sums(K, assignment, k, members, rows)
         if not sizes.all():
             d = _point_cluster_dist2(diag, cross, sizes, pair_sums)
@@ -262,9 +258,8 @@ def _lloyd(K, k, start, max_iter, seen=None):
         new_assignment = d.argmin(axis=1)
         if (new_assignment == assignment).all():
             # converged: the sums and distances above are this assignment's
-            if seen is not None:
-                for i, prior in enumerate(keys):
-                    seen[prior] = it - i
+            for i, prior in enumerate(keys):
+                seen[prior] = it - i
             break
         assignment = new_assignment
     else:

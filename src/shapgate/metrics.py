@@ -29,7 +29,6 @@ class EvalReport:
     accuracy: float
     auc: float
     roc_points: list[tuple[float, float]]
-    n: int
     degenerate_precision: bool = False
 
     def metric_dict(self):
@@ -44,7 +43,6 @@ class ConfusionMetrics:
     recall: float
     f1: float
     accuracy: float
-    n: int
     degenerate_precision: bool = False
 
 
@@ -104,7 +102,6 @@ def classification_metrics(probabilities, labels):
         recall=weighted["recall"],
         f1=weighted["f1"],
         accuracy=accuracy,
-        n=n,
         degenerate_precision=degenerate,
     )
 

@@ -181,15 +181,13 @@ def _backward(params, batch, logit, cache, y, out):
     return out
 
 
-def loss_and_grads(params, batch, y, out=None):
+def loss_and_grads(params, batch, y, out):
     """Mean BCE and its gradient for every trainable parameter group.
 
-    The gradients come back as a dict keyed by group name. When `out` is such
-    a dict of arrays shaped like the groups, they are written into it.
+    `out` is a dict, keyed by group name, of arrays shaped like the groups;
+    the gradients are written into it and it is returned.
     """
     y = np.asarray(y, dtype=np.float64)
-    if out is None:
-        out = {k: np.empty_like(getattr(params, k)) for k in PARAM_GROUPS}
     logit, cache = _forward_full(params, batch)
     return bce_loss(logit, y), _backward(params, batch, logit, cache, y, out)
 

@@ -160,7 +160,6 @@ class PreparedData:
 @dataclass
 class FittedCore:
     ensemble: gbm.TreeEnsemble
-    background: attribution.Background
     shap_train: attribution.ShapMatrix  # aligned with train_ids order
     shap_test: attribution.ShapMatrix  # aligned with test_ids order
 
@@ -195,7 +194,7 @@ def fit_core(prepared, config):
     n_train = prepared.train_ids.size
     shap_train = replace(shap, values=shap.values[:n_train])
     shap_test = replace(shap, values=shap.values[n_train:])
-    return FittedCore(ensemble=ens, background=bg, shap_train=shap_train, shap_test=shap_test)
+    return FittedCore(ensemble=ens, shap_train=shap_train, shap_test=shap_test)
 
 
 def _fold_parts(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
@@ -472,23 +471,36 @@ def records_from_manifest(manifest):
     return records
 
 
+def _manifest_number(value, what):
+    """value when it is an int or a float, else DataError; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"manifest {what} must be a number, got {value!r}")
+    return value
+
+
 def _record_from_run(run):
     """One entry of a manifest's "runs" list as a RunRecord."""
+    # the dataset names the report files: "../x" would write outside the output directory
+    ds = run["dataset"]
+    if not isinstance(ds, str) or ds not in dataset.SCHEMAS:
+        raise DataError(f"manifest dataset {ds!r} is not one of {sorted(dataset.SCHEMAS)}")
     variants = {}
     for name, entry in run["variants"].items():
         report = None
         if "metrics" in entry:
             m = entry["metrics"]
-            report = metrics.EvalReport(**{name: m[name] for name in metrics.REPORTED},
-                                        roc_points=[], n=run["n_test"])
+            report = metrics.EvalReport(
+                **{name: _manifest_number(m[name], f"metric {name}") for name in metrics.REPORTED},
+                roc_points=[],
+            )
         variants[name] = VariantResult(
             report=report,
             gate_input_sha256=entry.get("gate_input_sha256"),
-            train_seconds=entry.get("train_seconds", 0.0),
+            train_seconds=_manifest_number(entry.get("train_seconds", 0.0), "train_seconds"),
             error=entry.get("error"),
         )
     return RunRecord(
-        dataset=run["dataset"],
+        dataset=ds,
         master_seed=run["master_seed"],
         selection_seed=run["selection_seed"],
         n_train=run["n_train"],
@@ -498,12 +510,14 @@ def _record_from_run(run):
         chosen_k=run["chosen_k"],
         grid_cells=[
             GridCell(kernel=c["kernel"], k=c["k"], fold_f1=c["fold_f1"],
-                     mean_f1=float("nan") if c["mean_f1"] is None else c["mean_f1"],
+                     mean_f1=(float("nan") if c["mean_f1"] is None
+                              else _manifest_number(c["mean_f1"], "grid mean_f1")),
                      error=c["error"])
             for c in run.get("grid", [])
         ],
         variants=variants,
-        timings=run.get("timings", {}),
+        timings={stage: _manifest_number(seconds, f"timing {stage}")
+                 for stage, seconds in run.get("timings", {}).items()},
     )
 
 

@@ -26,18 +26,27 @@
 
 The rank-AUC-against-trapezoid-AUC check stays in the package itself:
 metrics.roc_auc raises when the two routes disagree.
+
+fresh_loss_and_grads is no oracle: it calls network.loss_and_grads with a
+new gradient dict, which network.train allocates once and reuses.
 """
 
 import math
 
 import numpy as np
 
-from shapgate import gbm
+from shapgate import gbm, network
 from shapgate import kernel_kmeans as kk
 from shapgate.attribution import _CM, _CP, MAX_PATH_FEATURES, ShapMatrix, _check_inputs
 from shapgate.errors import DataError
 
 ORACLE_MAX_FEATURES = 15
+
+
+def fresh_loss_and_grads(params, batch, y):
+    """network.loss_and_grads into a new dict of gradient arrays."""
+    out = {name: np.empty_like(getattr(params, name)) for name in network.PARAM_GROUPS}
+    return network.loss_and_grads(params, batch, y, out)
 
 
 def exact_shapley_oracle(ensemble, x, bg):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exact_shapley_oracle
+from oracles import exact_shapley_oracle, fresh_loss_and_grads
 from shapgate import attribution, gbm, network, pipeline
 from shapgate import kernel_kmeans as kk
 
@@ -189,7 +189,7 @@ def test_criterion_03_kernel_kmeans_correctness():
         X = rng.normal(size=(n, p))
         X[: n // 2] += rng.uniform(1.0, 6.0)
         init = rng.integers(0, k, size=n)
-        assignment = kk._lloyd(kk.kernel_matrix(linear, X), k, init, kk.MAX_ITER)[0]
+        assignment = kk._lloyd(kk.kernel_matrix(linear, X), k, init, kk.MAX_ITER, {})[0]
         assert np.array_equal(assignment, _plain_kmeans(X, k, init))
 
     specs = [
@@ -204,7 +204,7 @@ def test_criterion_03_kernel_kmeans_correctness():
         # objective after 1, 2, ... Lloyd steps, until the assignment settles
         objectives, previous = [], None
         for steps in range(1, kk.MAX_ITER + 1):
-            assignment, _, _, obj = kk._lloyd(K, 4, init, steps)
+            assignment, _, _, obj = kk._lloyd(K, 4, init, steps, {})
             objectives.append(obj)
             if previous is not None and np.array_equal(assignment, previous):
                 break
@@ -230,7 +230,7 @@ def test_criterion_03_kernel_kmeans_correctness():
 # ------------------------------------------------------------- criterion 4
 
 def _max_relative_gradient_error(params, batch, y, step=1e-5):
-    _, grads = network.loss_and_grads(params, batch, y)
+    _, grads = fresh_loss_and_grads(params, batch, y)
     worst = 0.0
     for name in network.PARAM_GROUPS:
         arr = getattr(params, name)
@@ -239,9 +239,9 @@ def _max_relative_gradient_error(params, batch, y, step=1e-5):
             ix = it.multi_index
             keep = arr[ix]
             arr[ix] = keep + step
-            up = network.loss_and_grads(params, batch, y)[0]
+            up = fresh_loss_and_grads(params, batch, y)[0]
             arr[ix] = keep - step
-            down = network.loss_and_grads(params, batch, y)[0]
+            down = fresh_loss_and_grads(params, batch, y)[0]
             arr[ix] = keep
             numeric = (up - down) / (2 * step)
             denom = max(abs(grads[name][ix]), abs(numeric), 1e-8)

@@ -18,7 +18,6 @@ def manual_stump(feature=0, threshold=0.0, left=-1.5, right=2.5,
         left=np.array([1, -1, -1], dtype=np.int32),
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, left, right]),
-        n_samples=np.array([4, 2, 2], dtype=np.int32),
     )
     return gbm.TreeEnsemble(
         base_margin=base_margin, trees=[tree],
@@ -35,12 +34,13 @@ def margin_of(ens, x):
     return gbm.predict_margin_batch(ens, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def random_fit(rng, n=40, p=5, n_trees=3, max_depth=3):
+def random_fit(rng, n=40, p=5, n_trees=3, max_depth=3, min_samples_leaf=1):
     X = rng.normal(size=(n, p))
     y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
     if y.min() == y.max():
         y[: n // 2] = 1 - y[0]
-    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=n_trees, max_depth=max_depth))
+    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=n_trees, max_depth=max_depth,
+                                      min_samples_leaf=min_samples_leaf))
     return ens, X
 
 
@@ -94,15 +94,20 @@ def test_dummy_feature_has_exactly_zero_attribution():
     assert np.all(sm.values[:, 2] == 0.0)
 
 
-def test_local_accuracy_random_ensembles():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        ens, X = random_fit(rng, n=30 + int(rng.integers(40)), p=int(rng.integers(2, 7)))
-        bg = attribution.Background(rows=X[:15])
-        sm = attribution.shap_matrix(ens, X[:10], bg)
-        margins = gbm.predict_margin_batch(ens, X[:10])
-        recon = sm.base_value + sm.values.sum(axis=1)
-        assert np.max(np.abs(recon - margins)) < 1e-9
+@settings(deadline=None)
+@given(n=st.integers(2, 70), p=st.integers(1, 8), n_trees=st.integers(1, 12),
+       depth=st.integers(1, 7), min_samples_leaf=st.integers(1, 6),
+       background=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_local_accuracy_random_ensembles(n, p, n_trees, depth, min_samples_leaf, background,
+                                         seed):
+    # the same bound as the benchmark's local-accuracy check
+    ens, X = random_fit(np.random.default_rng(seed), n=n, p=p, n_trees=n_trees,
+                        max_depth=depth, min_samples_leaf=min_samples_leaf)
+    bg = attribution.Background(rows=X[:background])
+    sm = attribution.shap_matrix(ens, X, bg)
+    margins = gbm.predict_margin_batch(ens, X)
+    recon = sm.base_value + sm.values.sum(axis=1)
+    assert np.max(np.abs(recon - margins)) < 1e-9
 
 
 def test_oracle_matches_hand_stump():
@@ -205,7 +210,7 @@ def node_tree(feature, threshold, left, right, value):
     return gbm.DecisionTree(
         feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64), n_samples=np.ones(len(feature), dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
     )
 
 

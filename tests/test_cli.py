@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import shapgate
-from shapgate import cli, dataset, kernel_kmeans, pipeline, synth
+from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, synth
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
 
@@ -177,6 +177,63 @@ def test_manifest_of_the_wrong_shape_exits_2(capsys, tmp_path):
         assert cli.main(["report", "--manifest", str(path), "--out", str(out)]) == 2, manifest
         assert "data error: manifest" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _manifest_run():
+    """A well-formed manifest run, which report renders."""
+    return {
+        "dataset": "heart", "master_seed": 0, "selection_seed": 0,
+        "n_train": 8, "n_test": 2, "n_features": 3, "chosen_kernel": "linear", "chosen_k": 2,
+        "timings": {"prepare": 0.1},
+        "grid": [{"kernel": "linear", "k": 2, "mean_f1": 0.5, "fold_f1": [0.5], "error": None}],
+        "variants": {"full": {"gate_input_sha256": None, "train_seconds": 0.1, "error": None,
+                              "metrics": dict.fromkeys(metrics.REPORTED, 0.5)}},
+    }
+
+
+def _set_dataset(run, value):
+    run["dataset"] = value
+
+
+def _set_metric(run, value):
+    run["variants"]["full"]["metrics"][metrics.REPORTED[0]] = value
+
+
+def _set_train_seconds(run, value):
+    run["variants"]["full"]["train_seconds"] = value
+
+
+def _set_timing(run, value):
+    run["timings"]["prepare"] = value
+
+
+def _set_grid_mean_f1(run, value):
+    run["grid"][0]["mean_f1"] = value
+
+
+@pytest.mark.parametrize("corrupt, value, message", [
+    (_set_dataset, "../escaped", "dataset '../escaped'"),
+    (_set_dataset, 5, "dataset 5"),
+    (_set_metric, "0.5", "metric"),
+    (_set_metric, None, "metric"),
+    (_set_metric, True, "metric"),
+    (_set_train_seconds, "0.1", "train_seconds"),
+    (_set_timing, "0.1", "timing prepare"),
+    (_set_grid_mean_f1, "0.5", "grid mean_f1"),
+], ids=["dataset-path", "dataset-int", "metric-str", "metric-null", "metric-bool",
+        "train-seconds-str", "timing-str", "grid-mean-f1-str"])
+def test_report_of_a_manifest_with_bad_values_exits_2(capsys, tmp_path, corrupt, value, message):
+    run = _manifest_run()
+    corrupt(run, value)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"runs": [run]}))
+    out = tmp_path / "work" / "out"
+    assert cli.main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: manifest" in err and message in err
+    outside = [p for p in tmp_path.rglob("*")
+               if p.is_file() and p != manifest and out not in p.parents]
+    assert outside == []
 
 
 def test_missing_data_file_exits_2(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,17 +116,31 @@ def test_margin_matches_manual_path_walk():
         assert margins[row] == pytest.approx(total, abs=1e-12)
 
 
+def node_counts(tree, X):
+    """Rows of X reaching each node, routing every row from the root."""
+    counts = np.zeros(tree.feature.size, dtype=np.int64)
+    for x in X:
+        node = 0
+        counts[node] += 1
+        while tree.feature[node] >= 0:
+            if x[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+            counts[node] += 1
+    return counts
+
+
 def test_parent_child_sample_counts():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(90, 4))
     y = (X[:, 0] > 0.2).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=8))
     for tree in ens.trees:
-        for node in range(tree.feature.size):
-            if tree.feature[node] < 0:
-                continue
-            lo, hi = tree.left[node], tree.right[node]
-            assert tree.n_samples[node] == tree.n_samples[lo] + tree.n_samples[hi]
+        counts = node_counts(tree, X)
+        split = tree.feature >= 0
+        assert np.array_equal(counts[split], counts[tree.left[split]] + counts[tree.right[split]])
+        assert counts.min() >= 1  # the default min_samples_leaf
 
 
 def test_min_samples_leaf_honored():
@@ -133,7 +149,7 @@ def test_min_samples_leaf_honored():
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=10, min_samples_leaf=8))
     for tree in ens.trees:
-        leaf_counts = tree.n_samples[tree.feature < 0]
+        leaf_counts = node_counts(tree, X)[tree.feature < 0]
         assert leaf_counts.min() >= 8
 
 
@@ -183,9 +199,9 @@ def ensemble_bytes(ens):
     """Every tree array with its dtype, and the base margin, for exact comparison."""
     out = [repr(ens.base_margin)]
     for tree in ens.trees:
-        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
-            arr = getattr(tree, name)
-            out.append((name, arr.dtype.str, arr.tobytes()))
+        for field in dataclasses.fields(tree):
+            arr = getattr(tree, field.name)
+            out.append((field.name, arr.dtype.str, arr.tobytes()))
     return out
 
 

@@ -54,7 +54,7 @@ def lloyd_objectives(K, k, start):
     """Objective after 1, 2, ... Lloyd steps from start, up to convergence."""
     objectives, previous = [], None
     for steps in range(1, kk.MAX_ITER + 1):
-        assignment, _, _, obj = kk._lloyd(K, k, start, steps)
+        assignment, _, _, obj = kk._lloyd(K, k, start, steps, {})
         objectives.append(obj)
         if previous is not None and np.array_equal(assignment, previous):
             break
@@ -209,7 +209,7 @@ def test_linear_kernel_matches_plain_kmeans_oracle():
         X = rng.normal(size=(50, 4)) + 3.0 * rng.integers(0, 3, size=(50, 1))
         init = rng.integers(0, 4, size=50)
         init[:4] = np.arange(4)  # every cluster starts non-empty
-        assignment, _, _, obj = kk._lloyd(kk.kernel_matrix(LINEAR, X), 4, init, kk.MAX_ITER)
+        assignment, _, _, obj = kk._lloyd(kk.kernel_matrix(LINEAR, X), 4, init, kk.MAX_ITER, {})
         oracle_assign, oracle_inertia = plain_kmeans(X, 4, init)
         assert np.array_equal(assignment, oracle_assign)
         assert obj == pytest.approx(oracle_inertia, abs=1e-9)
@@ -241,12 +241,13 @@ def test_lloyd_returns_the_sums_of_its_assignment(spec):
         seeded = kk._greedy_seed_assignment(K, k, np.random.default_rng([trial, 0xC1, 0]))
         sparse = rng.integers(0, k - 1, size=X.shape[0])  # cluster k-1 starts empty
         for start in (seeded, sparse):
-            converged = kk._lloyd(K, k, start, kk.MAX_ITER)
-            assert np.array_equal(kk._lloyd(K, k, converged[0], 1)[0], converged[0])
-            exhausted = kk._lloyd(K, k, start, 1)
-            cut_short += not np.array_equal(kk._lloyd(K, k, exhausted[0], 1)[0], exhausted[0])
+            converged = kk._lloyd(K, k, start, kk.MAX_ITER, {})
+            assert np.array_equal(kk._lloyd(K, k, converged[0], 1, {})[0], converged[0])
+            exhausted = kk._lloyd(K, k, start, 1, {})
+            cut_short += not np.array_equal(kk._lloyd(K, k, exhausted[0], 1, {})[0], exhausted[0])
             for assignment, sizes, pair_sums, obj in (converged, exhausted):
-                fresh_sizes, fresh_pair_sums, cross = kk._cluster_sums(K, assignment, k)
+                fresh_sizes, fresh_pair_sums, cross = kk._cluster_sums(
+                    K, assignment, k, np.empty((X.shape[0], k)), np.arange(X.shape[0]))
                 d = kk._point_cluster_dist2(diag, cross, fresh_sizes, fresh_pair_sums)
                 fresh_obj = float(np.maximum(d[np.arange(X.shape[0]), assignment], 0.0).sum())
                 assert sizes.tobytes() == fresh_sizes.tobytes()
@@ -271,7 +272,7 @@ def test_assign_batch_never_picks_an_empty_cluster():
 def test_empty_cluster_repair_keeps_k_clusters():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     init = np.array([0, 0, 1, 1])
-    assignment, sizes, _, _ = kk._lloyd(kk.kernel_matrix(LINEAR, X), 3, init, kk.MAX_ITER)
+    assignment, sizes, _, _ = kk._lloyd(kk.kernel_matrix(LINEAR, X), 3, init, kk.MAX_ITER, {})
     assert np.unique(assignment).size == 3
     assert np.all(sizes >= 1)
 
@@ -303,7 +304,7 @@ def test_fit_determinism_and_restarts():
     K = kk.kernel_matrix(LINEAR, X)
     runs = [
         kk._lloyd(K, 3, kk._greedy_seed_assignment(K, 3, np.random.default_rng([9, 0xC1, r])),
-                  kk.MAX_ITER)
+                  kk.MAX_ITER, {})
         for r in range(kk.N_RESTARTS)
     ]
     best = min(runs, key=lambda run: run[3])
@@ -390,6 +391,11 @@ def lloyd_cases(draw):
     return K, k, start, draw(st.sampled_from([1, kk.MAX_ITER]))
 
 
+def lone_lloyd(K, k, start, max_iter):
+    """_lloyd with an empty `seen`, as a fit's first restart runs it."""
+    return kk._lloyd(K, k, start, max_iter, {})
+
+
 def lloyd_bytes(lloyd, K, k, start, max_iter):
     try:
         assignment, sizes, pair_sums, obj = lloyd(K, k, start, max_iter)
@@ -411,7 +417,7 @@ def test_lloyd_matches_the_step_loop(case):
     # the refilled indicator buffer, bincount sizes and in-place distances
     # give the bytes of a fresh indicator matrix and the masked expression
     K, k, start, max_iter = case
-    assert lloyd_bytes(kk._lloyd, K, k, start, max_iter) == lloyd_bytes(loop_lloyd, K, k, start, max_iter)
+    assert lloyd_bytes(lone_lloyd, K, k, start, max_iter) == lloyd_bytes(loop_lloyd, K, k, start, max_iter)
 
 
 def test_fit_skips_repeated_restarts_on_small_problems():
@@ -435,7 +441,7 @@ def test_fit_skips_repeated_restarts_on_small_problems():
 
 def test_lloyd_carries_on_when_a_seen_run_needs_more_steps_than_left():
     # a run that reaches a recorded assignment without the steps to converge
-    # from it must run on and return what it returns without `seen`
+    # from it must run on and return what it returns with an empty `seen`
     rng = np.random.default_rng(41)
     X = rng.normal(size=(40, 3))
     K = kk.kernel_matrix(LINEAR, X)
@@ -447,13 +453,13 @@ def test_lloyd_carries_on_when_a_seen_run_needs_more_steps_than_left():
     recorded = dict(seen)
     for max_iter in (1, steps - 1, steps):
         cut = kk._lloyd(K, 4, start, max_iter, seen)
-        plain = kk._lloyd(K, 4, start, max_iter)
+        plain = kk._lloyd(K, 4, start, max_iter, {})
         assert cut is not None
         assert [a.tobytes() for a in cut[:3]] == [a.tobytes() for a in plain[:3]]
         assert repr(cut[3]) == repr(plain[3])
         assert seen == recorded  # a run cut off by max_iter records nothing
     assert kk._lloyd(K, 4, start, steps + 1, seen) is None
-    assert kk._lloyd(K, 4, start, steps + 1)[0].tobytes() == converged[0].tobytes()
+    assert kk._lloyd(K, 4, start, steps + 1, {})[0].tobytes() == converged[0].tobytes()
 
 
 @st.composite

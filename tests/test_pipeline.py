@@ -9,7 +9,7 @@ cluster structure IS the label so the recovered k is known in advance.
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -192,7 +192,6 @@ def test_cv_recovers_generating_k():
         values=rng.normal(size=(labels.size, 6)),
         labels=labels,
         column_meta=[(f"f{i}", "scaled") for i in range(6)],
-        scaler_params=[],
     )
     prepared = pipeline.PreparedData(
         dataset="diabetes", matrix=matrix,
@@ -200,7 +199,7 @@ def test_cv_recovers_generating_k():
         n_imputed=0,
     )
     core = pipeline.FittedCore(
-        ensemble=None, background=None,
+        ensemble=None,
         shap_train=attribution.ShapMatrix(values=shap_rows, base_value=0.0),
         shap_test=attribution.ShapMatrix(values=shap_rows[:1], base_value=0.0),
     )
@@ -289,15 +288,18 @@ def test_holdout_tripwire(tmp_path, dataset_files):
 
     assert np.array_equal(a[0].train_ids, b[0].train_ids)
     assert np.array_equal(a[0].test_ids, b[0].test_ids)
-    scaler_a = [(s.column, s.mean, s.std) for s in a[0].matrix.scaler_params]
-    scaler_b = [(s.column, s.mean, s.std) for s in b[0].matrix.scaler_params]
-    assert scaler_a == scaler_b
+    tr = a[0].train_ids
+    # the scaled training rows carry the scaler fit, bit for bit
+    assert a[0].matrix.values[tr].tobytes() == b[0].matrix.values[tr].tobytes()
     ens_a, ens_b = a[1].ensemble, b[1].ensemble
     assert ens_a.base_margin == ens_b.base_margin and ens_a.n_trees == ens_b.n_trees
     for tree_a, tree_b in zip(ens_a.trees, ens_b.trees):
-        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
-            assert np.array_equal(getattr(tree_a, name), getattr(tree_b, name))
-    assert np.array_equal(a[1].background.rows, b[1].background.rows)
+        for field in fields(tree_a):
+            assert np.array_equal(getattr(tree_a, field.name), getattr(tree_b, field.name))
+    background_seed = pipeline.child_seed(config.master_seed, 1)
+    bg_a, bg_b = (attribution.make_background(side[0].matrix.values, tr, seed=background_seed)
+                  for side in (a, b))
+    assert np.array_equal(bg_a.rows, bg_b.rows)
     assert np.array_equal(a[1].shap_train.values, b[1].shap_train.values)
     assert [c.mean_f1 for c in a[2].cells] == [c.mean_f1 for c in b[2].cells]
     assert a[2].best_index == b[2].best_index
