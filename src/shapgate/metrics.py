@@ -20,22 +20,6 @@ REPORTED = ("precision", "recall", "f1", "accuracy", "auc")
 
 
 @dataclass
-class EvalReport:
-    """Metric bundle for one model variant on one split."""
-
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    auc: float
-    roc_points: list[tuple[float, float]]
-    degenerate_precision: bool = False
-
-    def metric_dict(self):
-        return {name: getattr(self, name) for name in REPORTED}
-
-
-@dataclass
 class ConfusionMetrics:
     """Thresholded metrics only (no ranking metrics)."""
 
@@ -44,6 +28,18 @@ class ConfusionMetrics:
     f1: float
     accuracy: float
     degenerate_precision: bool = False
+
+
+@dataclass(kw_only=True)
+class EvalReport(ConfusionMetrics):
+    """Metric bundle for one model variant on one split: the thresholded
+    metrics plus the AUC and the ROC points it integrates."""
+
+    auc: float
+    roc_points: list[tuple[float, float]]
+
+    def metric_dict(self):
+        return {name: getattr(self, name) for name in REPORTED}
 
 
 def _check_binary_labels(labels):

@@ -26,6 +26,7 @@ batch):
 import contextlib
 import hashlib
 import json
+import math
 import os
 import time
 import zlib
@@ -197,15 +198,11 @@ def fit_core(prepared, config):
     return FittedCore(ensemble=ens, shap_train=shap_train, shap_test=shap_test)
 
 
-def _fold_parts(X_fit, shap_fit, X_val, shap_val, spec, k, cluster_seed):
-    """Fit clusters on fit-row attributions; out-of-sample assign the val rows.
-
-    Returns (x, shap, onehot) for the fit rows and for the val rows.
-    """
-    model = kernel_kmeans.fit(shap_fit, k=k, spec=spec, seed=cluster_seed)
-    val_assignment = kernel_kmeans.assign_batch(model, shap_val)
-    return ((X_fit, shap_fit, kernel_kmeans.onehot(model.assignment, k)),
-            (X_val, shap_val, kernel_kmeans.onehot(val_assignment, k)))
+def _cluster_split(fit_shap, eval_shap, spec, k, seed):
+    """The ClusterModel fit on fit_shap (its assignment covers those rows) and
+    the out-of-sample assignment of the eval_shap rows."""
+    model = kernel_kmeans.fit(fit_shap, k=k, spec=spec, seed=seed)
+    return model, kernel_kmeans.assign_batch(model, eval_shap)
 
 
 def _variant_batch(variant, net_seed, x, shap, onehot):
@@ -268,42 +265,47 @@ def _check_k(name, ks, rows, where):
         raise UsageError(f"{name} {bad} outside [1, {rows}], the rows of {where}")
 
 
-def run_cv_grid(prepared, core, config):
-    """Mean five-fold weighted F1 of the full variant for every grid cell."""
+def _cv_fold_data(prepared, core, config):
+    """The fold table: per fold of _cv_folds, the fit and the validation
+    (x, shap, y) arrays, cut once per grid and shared by every cell."""
     X = prepared.matrix.values
     y = prepared.matrix.labels
-    train_ids = prepared.train_ids
     shap_rows = core.shap_train.values  # aligned with train_ids order
-    folds = _cv_folds(prepared, config)
-    cells = []
-    for spec, k in config.grid:
-        cell_tag = _name_tag(spec.label())
-        fold_f1 = []
-        error = None
-        try:
-            for fold_id, (fit_rows, val_rows) in enumerate(folds):
-                fit_pos = np.searchsorted(train_ids, fit_rows)
-                val_pos = np.searchsorted(train_ids, val_rows)
-                fit_parts, val_parts = _fold_parts(
-                    X[fit_rows], shap_rows[fit_pos], X[val_rows], shap_rows[val_pos],
-                    spec, k, cluster_seed=child_seed(config.master_seed, 3, cell_tag, k, fold_id),
-                )
-                net_cfg = config.net_config(
-                    seed=child_seed(config.master_seed, 4, cell_tag, k, fold_id)
-                )
-                fit_batch = _variant_batch("full", net_cfg.seed, *fit_parts)
-                val_batch = _variant_batch("full", net_cfg.seed, *val_parts)
-                result = network.train(fit_batch, y[fit_rows], val_batch, y[val_rows], net_cfg)
-                probs = network.predict(result.params, val_batch)
-                # stratified folds hold both classes, so F1 alone needs no AUC
-                fold_f1.append(metrics.classification_metrics(probs, y[val_rows]).f1)
-            mean_f1 = float(np.mean(fold_f1))
-        except ShapgateError as e:
-            error = str(e)
-            mean_f1 = float("nan")
-        cells.append(GridCell(
-            kernel=spec.label(), k=k, fold_f1=fold_f1, mean_f1=mean_f1, error=error,
-        ))
+
+    def part(rows):
+        return X[rows], shap_rows[np.searchsorted(prepared.train_ids, rows)], y[rows]
+
+    return [(part(fit_rows), part(val_rows)) for fit_rows, val_rows in _cv_folds(prepared, config)]
+
+
+def _grid_cell(folds, spec, k, config):
+    """The GridCell of one (kernel, k): the full variant's weighted F1 on each
+    fold of the fold table. A cell stops at its first failed fold, keeping
+    the F1 of the folds before it, a nan mean and the error."""
+    cell_tag = _name_tag(spec.label())
+    fold_f1 = []
+    try:
+        for fold_id, ((x_fit, shap_fit, y_fit), (x_val, shap_val, y_val)) in enumerate(folds):
+            model, val_assignment = _cluster_split(
+                shap_fit, shap_val, spec, k, child_seed(config.master_seed, 3, cell_tag, k, fold_id))
+            net_cfg = config.net_config(seed=child_seed(config.master_seed, 4, cell_tag, k, fold_id))
+            fit_batch = _variant_batch("full", net_cfg.seed, x_fit, shap_fit,
+                                       kernel_kmeans.onehot(model.assignment, k))
+            val_batch = _variant_batch("full", net_cfg.seed, x_val, shap_val,
+                                       kernel_kmeans.onehot(val_assignment, k))
+            result = network.train(fit_batch, y_fit, val_batch, y_val, net_cfg)
+            probs = network.predict(result.params, val_batch)
+            # stratified folds hold both classes, so F1 alone needs no AUC
+            fold_f1.append(metrics.classification_metrics(probs, y_val).f1)
+    except ShapgateError as e:
+        return GridCell(kernel=spec.label(), k=k, fold_f1=fold_f1, mean_f1=float("nan"), error=str(e))
+    return GridCell(kernel=spec.label(), k=k, fold_f1=fold_f1, mean_f1=float(np.mean(fold_f1)))
+
+
+def run_cv_grid(prepared, core, config):
+    """Mean five-fold weighted F1 of the full variant for every grid cell."""
+    folds = _cv_fold_data(prepared, core, config)
+    cells = [_grid_cell(folds, spec, k, config) for spec, k in config.grid]
     means = np.array([c.mean_f1 for c in cells])
     if np.all(np.isnan(means)):
         raise DataError("every grid cell failed during cross-validation")
@@ -332,9 +334,8 @@ def refit_clusters(core, spec, k, master_seed):
     Returns the ClusterModel (its assignment covers the train rows) and the
     out-of-sample assignment of the test rows.
     """
-    model = kernel_kmeans.fit(core.shap_train.values, k=k, spec=spec,
-                              seed=child_seed(master_seed, 5))
-    return model, kernel_kmeans.assign_batch(model, core.shap_test.values)
+    return _cluster_split(core.shap_train.values, core.shap_test.values, spec, k,
+                          seed=child_seed(master_seed, 5))
 
 
 def run_final(prepared, core, spec, k, config):
@@ -440,16 +441,12 @@ def run_experiment(config, data_path, chosen=None):
 
 
 def run_many(config, data_path):
-    """config.n_seeds repetitions; CV selection runs once, on the first seed."""
-    records = []
-    chosen = None
-    for i in range(config.n_seeds):
-        cfg = replace(config, master_seed=config.master_seed + i)
-        record = run_experiment(cfg, data_path, chosen=chosen)
-        if chosen is None:
-            chosen = (record.chosen_spec, record.chosen_k, record.master_seed)
-        records.append(record)
-    return records
+    """config.n_seeds repetitions. CV selection runs once, on the first seed;
+    seeds 2..N run only from the selection it made."""
+    first = run_experiment(config, data_path)
+    chosen = (first.chosen_spec, first.chosen_k, first.master_seed)
+    rest = [replace(config, master_seed=config.master_seed + i) for i in range(1, config.n_seeds)]
+    return [first] + [run_experiment(cfg, data_path, chosen=chosen) for cfg in rest]
 
 
 def records_from_manifest(manifest):
@@ -472,9 +469,11 @@ def records_from_manifest(manifest):
 
 
 def _manifest_number(value, what):
-    """value when it is an int or a float, else DataError; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"manifest {what} must be a number, got {value!r}")
+    """value when it is a finite int or float, else DataError; a bool is no
+    number, and NaN or Infinity would be written back as invalid JSON."""
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise DataError(f"manifest {what} must be a finite number, got {value!r}")
     return value
 
 
@@ -509,7 +508,8 @@ def _record_from_run(run):
         chosen_spec=kernel_kmeans.spec_from_label(run["chosen_kernel"]),
         chosen_k=run["chosen_k"],
         grid_cells=[
-            GridCell(kernel=c["kernel"], k=c["k"], fold_f1=c["fold_f1"],
+            GridCell(kernel=c["kernel"], k=c["k"],
+                     fold_f1=[_manifest_number(f1, "grid fold_f1") for f1 in c["fold_f1"]],
                      mean_f1=(float("nan") if c["mean_f1"] is None
                               else _manifest_number(c["mean_f1"], "grid mean_f1")),
                      error=c["error"])
@@ -705,9 +705,6 @@ def emit_report(records, out_dir):
 
     manifest["runs"] = [_record_manifest(r) for r in records]
     written.append(write_text(out_dir, "summary.md", "\n".join(summary_lines) + "\n"))
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with atomic_open(manifest_path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(manifest_path)
+    written.append(write_text(out_dir, "manifest.json",
+                              json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     return written

@@ -9,7 +9,8 @@ files (see conftest for the data/ drop-in layout) and skip on synthetic
 stand-ins, where they would measure the stand-in generator, not the code.
 
 The battery runs every dataset at full experiment settings once per session
-and takes several minutes; criteria 1-5 finish in seconds.
+and takes several minutes; criteria 1-5 finish in seconds. Criteria 6-10 read
+the battery and carry the `slow` mark, so `pytest -m "not slow"` skips it.
 """
 
 import json
@@ -299,6 +300,7 @@ def test_criterion_05_gated_network_collapses_to_plain_mlp():
 
 # ------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_criterion_06_directional_reproduction(battery):
     """Median full F1 beats simple_nn on heart/credit, matches it on diabetes."""
     gaps = {}
@@ -322,6 +324,7 @@ def test_criterion_06_directional_reproduction(battery):
 
 # ------------------------------------------------------------- criterion 7
 
+@pytest.mark.slow
 def test_criterion_07_magnitude_proximity_reported(battery):
     """Reference deviations are reported honestly; magnitudes checked on real data."""
     for name in DATASETS:
@@ -356,6 +359,7 @@ def test_criterion_07_magnitude_proximity_reported(battery):
 
 # ------------------------------------------------------------- criterion 8
 
+@pytest.mark.slow
 def test_criterion_08_ablation_ordering(battery):
     """Median full F1 >= both single-mechanism ablations on heart and credit."""
     gaps = {}
@@ -380,6 +384,7 @@ def test_criterion_08_ablation_ordering(battery):
 
 # ------------------------------------------------------------- criterion 9
 
+@pytest.mark.slow
 def test_criterion_09_metric_identities(battery):
     """Weighted recall == accuracy exactly; rank AUC == trapezoid AUC."""
     n_reports = 0
@@ -397,6 +402,7 @@ def test_criterion_09_metric_identities(battery):
 
 # ------------------------------------------------------------ criterion 10
 
+@pytest.mark.slow
 def test_criterion_10_rerun_reproduces_metric_csvs(battery, tmp_path):
     """A fresh run with the same config and seed emits byte-identical CSVs."""
     info = battery["diabetes"]

@@ -211,17 +211,36 @@ def _set_grid_mean_f1(run, value):
     run["grid"][0]["mean_f1"] = value
 
 
+def _set_fold_f1(run, value):
+    run["grid"][0]["fold_f1"] = [value]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("corrupt, value, message", [
     (_set_dataset, "../escaped", "dataset '../escaped'"),
     (_set_dataset, 5, "dataset 5"),
     (_set_metric, "0.5", "metric"),
     (_set_metric, None, "metric"),
     (_set_metric, True, "metric"),
+    (_set_metric, NAN, "metric"),
+    (_set_metric, INF, "metric"),
     (_set_train_seconds, "0.1", "train_seconds"),
+    (_set_train_seconds, NAN, "train_seconds"),
+    (_set_train_seconds, -INF, "train_seconds"),
     (_set_timing, "0.1", "timing prepare"),
+    (_set_timing, NAN, "timing prepare"),
+    (_set_timing, INF, "timing prepare"),
     (_set_grid_mean_f1, "0.5", "grid mean_f1"),
+    (_set_grid_mean_f1, NAN, "grid mean_f1"),
+    (_set_grid_mean_f1, INF, "grid mean_f1"),
+    (_set_fold_f1, NAN, "grid fold_f1"),
+    (_set_fold_f1, "0.5", "grid fold_f1"),
 ], ids=["dataset-path", "dataset-int", "metric-str", "metric-null", "metric-bool",
-        "train-seconds-str", "timing-str", "grid-mean-f1-str"])
+        "metric-nan", "metric-inf", "train-seconds-str", "train-seconds-nan",
+        "train-seconds-neg-inf", "timing-str", "timing-nan", "timing-inf", "grid-mean-f1-str",
+        "grid-mean-f1-nan", "grid-mean-f1-inf", "fold-f1-nan", "fold-f1-str"])
 def test_report_of_a_manifest_with_bad_values_exits_2(capsys, tmp_path, corrupt, value, message):
     run = _manifest_run()
     corrupt(run, value)

@@ -26,7 +26,6 @@ PACKAGE = ROOT / "src" / "shapgate"
 # or gains a reader, and the entry then leaves the set.
 RESERVED_FOR_MANIFEST = {
     "PreparedData.n_imputed",
-    "EvalReport.degenerate_precision",
     "ConfusionMetrics.degenerate_precision",
     "ClusterModel.objective",
     "TrainResult.val_losses",

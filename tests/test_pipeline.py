@@ -7,12 +7,15 @@ byte-level file comparison; the blob test fabricates attribution vectors whose
 cluster structure IS the label so the recovered k is known in advance.
 """
 
+import contextlib
 import json
 import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline
 from shapgate.errors import DataError, UsageError
@@ -156,15 +159,65 @@ def test_all_cells_failing_is_data_error(small_parts):
         pipeline.run_cv_grid(prepared, core, config)
 
 
-def test_run_many_reuses_selection(diabetes_path):
-    config = small_config(n_seeds=2, grid=[SMALL_GRID[0]], max_epochs=10)
-    records = pipeline.run_many(config, diabetes_path)
-    assert len(records) == 2
-    assert records[0].grid_cells and not records[1].grid_cells
-    assert records[1].selection_seed == records[0].master_seed
-    assert records[1].master_seed == records[0].master_seed + 1
-    assert records[1].chosen_kernel == records[0].chosen_kernel
-    assert records[1].chosen_k == records[0].chosen_k
+# the premise of a parallel grid: a cell's result does not depend on where it
+# sits in the grid, and a failed cell stays failed at any position
+FOUR_CELL_GRID = [
+    (kernel_kmeans.KernelSpec("linear"), 2),
+    (kernel_kmeans.spec_from_label("rbf_g0.1"), 3),
+    (kernel_kmeans.spec_from_label("poly_d2_c1"), 2),
+    (kernel_kmeans.KernelSpec("linear"), 5000),
+]
+
+
+@pytest.fixture(scope="module")
+def grid_order_cells(small_parts):
+    _, prepared, core = small_parts
+    cells = pipeline.run_cv_grid(prepared, core, small_config(grid=FOUR_CELL_GRID)).cells
+    assert cells[3].error is not None and all(c.error is None for c in cells[:3])
+    return {(c.kernel, c.k): repr(c) for c in cells}
+
+
+@settings(max_examples=3, deadline=None)
+@example(grid=FOUR_CELL_GRID[::-1])
+@given(grid=st.permutations(FOUR_CELL_GRID))
+def test_grid_cells_do_not_depend_on_grid_order(small_parts, grid_order_cells, grid):
+    _, prepared, core = small_parts
+    result = pipeline.run_cv_grid(prepared, core, small_config(grid=grid))
+    assert [(c.kernel, c.k) for c in result.cells] == [(spec.label(), k) for spec, k in grid]
+    assert {(c.kernel, c.k): repr(c) for c in result.cells} == grid_order_cells
+
+
+@pytest.fixture(scope="module")
+def three_seed_records(diabetes_path):
+    config = small_config(n_seeds=3, grid=[SMALL_GRID[0]], max_epochs=10)
+    return config, pipeline.run_many(config, diabetes_path)
+
+
+def test_run_many_reuses_selection(three_seed_records):
+    _, records = three_seed_records
+    assert len(records) == 3
+    assert records[0].grid_cells
+    for i, record in enumerate(records[1:], start=1):
+        assert not record.grid_cells
+        assert record.selection_seed == records[0].master_seed
+        assert record.master_seed == records[0].master_seed + i
+        assert record.chosen_kernel == records[0].chosen_kernel
+        assert record.chosen_k == records[0].chosen_k
+
+
+def test_later_seeds_depend_only_on_the_inherited_selection(diabetes_path, three_seed_records):
+    # each later seed, run alone and in reverse order, reproduces its record
+    config, records = three_seed_records
+    chosen = (records[0].chosen_spec, records[0].chosen_k, records[0].master_seed)
+    for record in records[:0:-1]:
+        lone = pipeline.run_experiment(replace(config, master_seed=record.master_seed),
+                                       diabetes_path, chosen=chosen)
+        assert lone.variants.keys() == record.variants.keys()
+        for name, vr in record.variants.items():
+            assert vr.error is None and lone.variants[name].error is None
+            for f in fields(vr.report):
+                assert getattr(lone.variants[name].report, f.name) == getattr(vr.report, f.name)
+            assert lone.variants[name].gate_input_sha256 == vr.gate_input_sha256
 
 
 # ------------------------------------------------------------ blob recovery
@@ -410,12 +463,22 @@ def test_emit_report_crash_leaves_no_partial_file(tmp_path, small_record, monkey
     pipeline.emit_report([small_record], out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def dump_then_crash(obj, fh, **kwargs):
-        text = json.dumps(obj, **kwargs)
-        fh.write(text[: len(text) // 2])
-        raise RuntimeError("crash while writing the manifest")
+    class HalfThenCrash:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(pipeline.json, "dump", dump_then_crash)
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise RuntimeError("crash while writing the manifest")
+
+    real_open = pipeline.atomic_open
+
+    @contextlib.contextmanager
+    def crash_on_manifest(path):
+        with real_open(path) as fh:
+            yield HalfThenCrash(fh) if os.path.basename(path) == "manifest.json" else fh
+
+    monkeypatch.setattr(pipeline, "atomic_open", crash_on_manifest)
     for target in (out, tmp_path / "fresh"):
         with pytest.raises(RuntimeError, match="crash while writing"):
             pipeline.emit_report([small_record], target)
