@@ -24,12 +24,14 @@ batch):
 """
 
 import contextlib
+import copy
 import hashlib
 import json
 import math
 import os
 import time
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -449,6 +451,103 @@ def run_many(config, data_path):
     return [first] + [run_experiment(cfg, data_path, chosen=chosen) for cfg in rest]
 
 
+# ------------------------------------------------------------------ manifest
+
+_LEFT_OUT = object()  # a written value that leaves its key out of the entry
+# how a kind of manifest value is read back, read(value, what) -> record value
+# or DataError, and written, write(record value) -> manifest value
+_Kind = namedtuple("_Kind", "read write")
+# a field of a manifest entry: its key, its kind, the record attribute (when
+# named otherwise) and its value for a left-out key, or ... when it is required
+_Field = namedtuple("_Field", "key kind attr default", defaults=(None, ...))
+
+
+def _checked(description, ok, write=lambda value: value):
+    """The kind of a value that must satisfy ok; a DataError or TypeError
+    from ok, on a value of the wrong type, means it does not."""
+    def read(value, what):
+        with contextlib.suppress(DataError, TypeError):
+            if ok(value):
+                return value
+        raise DataError(f"manifest {what} {value!r} is not {description}")
+    return _Kind(read, write)
+
+
+def _record(cls):
+    """The kind of a JSON object holding a cls record, one key per field of
+    MANIFEST_SCHEMA[cls]. A left-out key reads as a copy of the field's
+    default (a KeyError when it has none); a _LEFT_OUT value is not written."""
+    def read(entry, what):
+        return cls(**{f.attr or f.key: f.kind.read(entry[f.key], f"{what} {f.key}")
+                      if f.key in entry or f.default is ... else copy.copy(f.default)
+                      for f in MANIFEST_SCHEMA[cls]})
+
+    def write(record):
+        entry = {f.key: f.kind.write(getattr(record, f.attr or f.key)) for f in MANIFEST_SCHEMA[cls]}
+        return {key: value for key, value in entry.items() if value is not _LEFT_OUT}
+    return _Kind(read, write)
+
+
+def _list(kind):
+    is_list = _checked("a list", lambda value: isinstance(value, list)).read
+    return _Kind(lambda value, what: [kind.read(v, what) for v in is_list(value, what)],
+                 lambda values: [kind.write(v) for v in values])
+
+
+def _mapping(noun, kind):
+    """The kind of a JSON object of kind values; the one under n is "noun n"."""
+    return _Kind(lambda value, what: {n: kind.read(v, f"{noun} {n}") for n, v in value.items()},
+                 lambda values: {n: kind.write(v) for n, v in values.items()})
+
+
+def _read_report(value, what):
+    return metrics.EvalReport(
+        **{name: _METRIC.read(value[name], f"{what} {name}") for name in metrics.REPORTED},
+        roc_points=[])
+
+
+# type() keeps out bools; NaN and Infinity, invalid JSON, fail every range check
+_COUNT = _checked("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_METRIC = _checked("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+_SECONDS = _checked("a finite number of seconds >= 0",
+                    lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+                    lambda seconds: round(seconds, 3))
+_LABEL = _checked("a kernel label", kernel_kmeans.spec_from_label)
+_OPTIONAL_STR = _checked("a string or null", lambda v: v is None or isinstance(v, str))
+
+# The manifest schema: per record type, the fields of its manifest entry.
+# _RUN.write writes exactly these, and _RUN.read reads each back through its
+# kind's check.
+MANIFEST_SCHEMA = {
+    RunRecord: (
+        # the dataset names the report files: "../x" would write outside the output directory
+        _Field("dataset", _checked(f"one of {sorted(dataset.SCHEMAS)}",
+                                   lambda v: v in dataset.SCHEMAS)),
+        _Field("master_seed", _COUNT), _Field("selection_seed", _COUNT), _Field("n_train", _COUNT),
+        _Field("n_test", _COUNT), _Field("n_features", _COUNT), _Field("chosen_k", _COUNT),
+        _Field("chosen_kernel", _Kind(lambda v, what: kernel_kmeans.spec_from_label(
+            _LABEL.read(v, what)), kernel_kmeans.KernelSpec.label), "chosen_spec"),
+        _Field("timings", _mapping("timing", _SECONDS), default={}),
+        _Field("variants", _mapping("variant", _record(VariantResult))),
+        _Field("grid", _list(_record(GridCell)), "grid_cells", default=[]),
+    ),
+    GridCell: (
+        _Field("kernel", _LABEL), _Field("k", _COUNT), _Field("fold_f1", _list(_METRIC)),
+        _Field("mean_f1", _Kind(lambda v, what: math.nan if v is None else _METRIC.read(v, what),
+                                lambda mean: None if math.isnan(mean) else mean)),
+        _Field("error", _OPTIONAL_STR),
+    ),
+    VariantResult: (
+        _Field("metrics", _Kind(_read_report, lambda r: _LEFT_OUT if r is None else r.metric_dict()),
+               "report", default=None),
+        _Field("gate_input_sha256", _OPTIONAL_STR, default=None),
+        _Field("train_seconds", _SECONDS, default=0.0),
+        _Field("error", _OPTIONAL_STR, default=None),
+    ),
+}
+_RUN = _record(RunRecord)
+
+
 def records_from_manifest(manifest):
     """Rebuild RunRecords from a manifest's "runs" list.
 
@@ -460,65 +559,12 @@ def records_from_manifest(manifest):
     if not isinstance(runs, list):
         raise DataError('manifest must be a JSON object whose "runs" is a list')
     try:
-        records = [_record_from_run(run) for run in runs]
+        records = [_RUN.read(run, "run") for run in runs]
     except (AttributeError, KeyError, TypeError) as e:
         raise DataError(f"manifest run is malformed: {type(e).__name__}: {e}") from e
     if not records:
         raise DataError("manifest contains no runs")
     return records
-
-
-def _manifest_number(value, what):
-    """value when it is a finite int or float, else DataError; a bool is no
-    number, and NaN or Infinity would be written back as invalid JSON."""
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite:
-        raise DataError(f"manifest {what} must be a finite number, got {value!r}")
-    return value
-
-
-def _record_from_run(run):
-    """One entry of a manifest's "runs" list as a RunRecord."""
-    # the dataset names the report files: "../x" would write outside the output directory
-    ds = run["dataset"]
-    if not isinstance(ds, str) or ds not in dataset.SCHEMAS:
-        raise DataError(f"manifest dataset {ds!r} is not one of {sorted(dataset.SCHEMAS)}")
-    variants = {}
-    for name, entry in run["variants"].items():
-        report = None
-        if "metrics" in entry:
-            m = entry["metrics"]
-            report = metrics.EvalReport(
-                **{name: _manifest_number(m[name], f"metric {name}") for name in metrics.REPORTED},
-                roc_points=[],
-            )
-        variants[name] = VariantResult(
-            report=report,
-            gate_input_sha256=entry.get("gate_input_sha256"),
-            train_seconds=_manifest_number(entry.get("train_seconds", 0.0), "train_seconds"),
-            error=entry.get("error"),
-        )
-    return RunRecord(
-        dataset=ds,
-        master_seed=run["master_seed"],
-        selection_seed=run["selection_seed"],
-        n_train=run["n_train"],
-        n_test=run["n_test"],
-        n_features=run["n_features"],
-        chosen_spec=kernel_kmeans.spec_from_label(run["chosen_kernel"]),
-        chosen_k=run["chosen_k"],
-        grid_cells=[
-            GridCell(kernel=c["kernel"], k=c["k"],
-                     fold_f1=[_manifest_number(f1, "grid fold_f1") for f1 in c["fold_f1"]],
-                     mean_f1=(float("nan") if c["mean_f1"] is None
-                              else _manifest_number(c["mean_f1"], "grid mean_f1")),
-                     error=c["error"])
-            for c in run.get("grid", [])
-        ],
-        variants=variants,
-        timings={stage: _manifest_number(seconds, f"timing {stage}")
-                 for stage, seconds in run.get("timings", {}).items()},
-    )
 
 
 # ------------------------------------------------------------------ reporting
@@ -556,37 +602,6 @@ def _median_record(records, variant="full"):
         return records[0]
     scored.sort()
     return records[scored[(len(scored) - 1) // 2][1]]
-
-
-def _record_manifest(record):
-    out = {
-        "dataset": record.dataset,
-        "master_seed": record.master_seed,
-        "selection_seed": record.selection_seed,
-        "n_train": record.n_train,
-        "n_test": record.n_test,
-        "n_features": record.n_features,
-        "chosen_kernel": record.chosen_kernel,
-        "chosen_k": record.chosen_k,
-        "timings": {k: round(v, 3) for k, v in record.timings.items()},
-        "variants": {},
-        "grid": [
-            {"kernel": c.kernel, "k": c.k,
-             "mean_f1": None if np.isnan(c.mean_f1) else c.mean_f1,
-             "fold_f1": c.fold_f1, "error": c.error}
-            for c in record.grid_cells
-        ],
-    }
-    for name, vr in record.variants.items():
-        entry = {
-            "gate_input_sha256": vr.gate_input_sha256,
-            "train_seconds": round(vr.train_seconds, 3),
-            "error": vr.error,
-        }
-        if vr.report is not None:
-            entry["metrics"] = vr.report.metric_dict()
-        out["variants"][name] = entry
-    return out
 
 
 @contextlib.contextmanager
@@ -703,8 +718,8 @@ def emit_report(records, out_dir):
             "seeds": seeds,
         }
 
-    manifest["runs"] = [_record_manifest(r) for r in records]
+    manifest["runs"] = [_RUN.write(r) for r in records]
     written.append(write_text(out_dir, "summary.md", "\n".join(summary_lines) + "\n"))
     written.append(write_text(out_dir, "manifest.json",
-                              json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
+                              json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"))
     return written

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapgate
 from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, synth
@@ -215,6 +218,23 @@ def _set_fold_f1(run, value):
     run["grid"][0]["fold_f1"] = [value]
 
 
+def _set_at(run, path, value):
+    node = run
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _setter(*path):
+    """A corrupt(run, value) that puts value at path in the run."""
+    return lambda run, value: _set_at(run, path, value)
+
+
+def _set_every_metric_of_two_runs(run, value):
+    run["variants"]["full"]["metrics"] = dict.fromkeys(metrics.REPORTED, value)
+    return [run, run]
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -226,6 +246,7 @@ NAN, INF = float("nan"), float("inf")
     (_set_metric, True, "metric"),
     (_set_metric, NAN, "metric"),
     (_set_metric, INF, "metric"),
+    (_set_metric, 1.5, "metric"),
     (_set_train_seconds, "0.1", "train_seconds"),
     (_set_train_seconds, NAN, "train_seconds"),
     (_set_train_seconds, -INF, "train_seconds"),
@@ -237,15 +258,28 @@ NAN, INF = float("nan"), float("inf")
     (_set_grid_mean_f1, INF, "grid mean_f1"),
     (_set_fold_f1, NAN, "grid fold_f1"),
     (_set_fold_f1, "0.5", "grid fold_f1"),
+    (_setter("master_seed"), NAN, "master_seed"),
+    (_setter("chosen_k"), INF, "chosen_k"),
+    (_setter("n_train"), 2.5, "n_train"),
+    (_setter("n_test"), -3, "n_test"),
+    (_setter("n_features"), True, "n_features"),
+    (_setter("selection_seed"), "x", "selection_seed"),
+    (_setter("grid", 0, "k"), NAN, "grid k"),
+    (_setter("grid", 0, "kernel"), "rbf_gx", "grid kernel"),
+    (_setter("variants", "full", "error"), {"a": 1}, "error"),
+    # the median of two 1.7e308s overflows to inf
+    (_set_every_metric_of_two_runs, 1.7e308, "metric"),
 ], ids=["dataset-path", "dataset-int", "metric-str", "metric-null", "metric-bool",
-        "metric-nan", "metric-inf", "train-seconds-str", "train-seconds-nan",
+        "metric-nan", "metric-inf", "metric-above-1", "train-seconds-str", "train-seconds-nan",
         "train-seconds-neg-inf", "timing-str", "timing-nan", "timing-inf", "grid-mean-f1-str",
-        "grid-mean-f1-nan", "grid-mean-f1-inf", "fold-f1-nan", "fold-f1-str"])
+        "grid-mean-f1-nan", "grid-mean-f1-inf", "fold-f1-nan", "fold-f1-str", "master-seed-nan",
+        "chosen-k-inf", "count-float", "count-negative", "count-bool", "count-str", "grid-k-nan",
+        "grid-kernel-not-a-label", "error-not-a-string", "two-runs-metrics-overflow-median"])
 def test_report_of_a_manifest_with_bad_values_exits_2(capsys, tmp_path, corrupt, value, message):
     run = _manifest_run()
-    corrupt(run, value)
+    runs = corrupt(run, value) or [run]
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"runs": [run]}))
+    manifest.write_text(json.dumps({"runs": runs}))
     out = tmp_path / "work" / "out"
     assert cli.main(["report", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -253,6 +287,51 @@ def test_report_of_a_manifest_with_bad_values_exits_2(capsys, tmp_path, corrupt,
     outside = [p for p in tmp_path.rglob("*")
                if p.is_file() and p != manifest and out not in p.parents]
     assert outside == []
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a manifest run, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_CORRUPTIONS = st.one_of(
+    st.text(max_size=6), st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([NAN, INF, -INF]), st.integers(max_value=-1),
+    st.floats(min_value=1.0, exclude_min=True), st.floats(max_value=0.0, exclude_max=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_paths(_manifest_run()))), value=_CORRUPTIONS)
+def test_report_of_a_corrupted_manifest_exits_2_or_round_trips(path, value):
+    # one corrupted field either stops report with exit 2, writing nothing, or
+    # renders a strict-JSON manifest that renders again to the same bytes
+    run = _manifest_run()
+    _set_at(run, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, first, second = Path(tmp, "manifest.json"), Path(tmp, "a"), Path(tmp, "b")
+        manifest.write_text(json.dumps({"runs": [run]}))
+        code = cli.main(["report", "--manifest", str(manifest), "--out", str(first)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not first.exists()
+            return
+        json.loads((first / "manifest.json").read_text(), parse_constant=_no_constant)
+        assert cli.main(["report", "--manifest", str(first / "manifest.json"),
+                         "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_missing_data_file_exits_2(capsys, tmp_path):
@@ -429,7 +508,8 @@ def test_report_rerenders_metrics_from_manifest(capsys, tmp_path, heart_path, fa
     assert cli.main([
         "report", "--manifest", str(out / "manifest.json"), "--out", str(rendered),
     ]) == 0
-    assert (rendered / "heart_metrics.csv").read_bytes() == (out / "heart_metrics.csv").read_bytes()
+    for name in ("heart_metrics.csv", "summary.md", "manifest.json"):
+        assert (rendered / name).read_bytes() == (out / name).read_bytes(), name
     assert not list(rendered.glob("*_roc_*.csv"))
     capsys.readouterr()
 
