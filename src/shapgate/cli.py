@@ -177,11 +177,7 @@ def cmd_run(args):
 
 def cmd_cv(args):
     config = load_config(args)
-    path = dataset.resolve_data_path(config.dataset, args.data_path)
-    prepared = pipeline.prepare(config, path)
-    pipeline.check_grid_fits(prepared, config)
-    core = pipeline.fit_core(prepared, config)
-    result = pipeline.run_cv_grid(prepared, core, config)
+    result = pipeline.select(config, dataset.resolve_data_path(config.dataset, args.data_path)).grid
     print(f"{'kernel':<14} {'k':>2}  {'mean_f1':>8}  fold F1")
     for i, cell in enumerate(result.cells):
         marker = " *" if i == result.best_index else ""
@@ -217,25 +213,18 @@ def cmd_cluster(args):
     config = load_config(args)
     if (args.kernel is None) != (args.k is None):
         raise UsageError("--kernel and --k must be given together (or neither)")
-    spec = k = None
+    chosen = None
     if args.kernel is not None:
-        spec, k = _spec_from_flag(args.kernel), args.k
-    path = dataset.resolve_data_path(config.dataset, args.data_path)
-    prepared = pipeline.prepare(config, path)
-    if spec is None:
-        pipeline.check_grid_fits(prepared, config)
-    else:
-        pipeline.check_final_fit(prepared, k)
-    core = pipeline.fit_core(prepared, config)
-    if spec is None:
-        result = pipeline.run_cv_grid(prepared, core, config)
-        spec, k = config.grid[result.best_index]
+        chosen = (_spec_from_flag(args.kernel), args.k, config.master_seed)
+    sel = pipeline.select(config, dataset.resolve_data_path(config.dataset, args.data_path), chosen)
+    spec, k, _ = sel.chosen
+    if chosen is None:
         print(f"selected kernel={spec.label()} k={k} by cross-validation")
-    model, test_assignment = pipeline.refit_clusters(core, spec, k, config.master_seed)
+    model, test_assignment = pipeline.refit_clusters(sel.core, spec, k, config.master_seed)
     lines = ["row,split,cluster"]
-    for row, c in zip(prepared.train_ids, model.assignment):
+    for row, c in zip(sel.prepared.train_ids, model.assignment):
         lines.append(f"{row},train,{c}")
-    for row, c in zip(prepared.test_ids, test_assignment):
+    for row, c in zip(sel.prepared.test_ids, test_assignment):
         lines.append(f"{row},test,{c}")
     sizes = ",".join(str(int(s)) for s in model.sizes)
     print(f"kernel={spec.label()} k={k} train cluster sizes [{sizes}]")

@@ -16,6 +16,10 @@ each side, and keeps the first maximum in feature-major order: the lowest
 feature index, then the smallest cut. That is the cut a per-feature loop with
 a strict > over ascending features picks, with the same gain bits.
 
+Each build also returns every training row's leaf value, which boosting adds
+without re-predicting; predict_margin_batch moves all rows down all stacked
+trees a level per step and adds the trees in ascending order, as a walk would.
+
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
 
@@ -58,21 +62,6 @@ class DecisionTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X):
-        """Leaf value reached by each row of X."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
-
 
 @dataclass
 class TreeEnsemble:
@@ -101,9 +90,11 @@ class _TreeBuilder:
         self.sorted_values = np.take_along_axis(X.T, self.order, axis=1)
 
     def build(self, residual, hessian):
+        """The tree fit to residual and hessian, and each training row's leaf value."""
         self.residual = residual
         self.hessian = hessian
         self.nodes = []  # dicts, frozen to arrays at the end
+        self.row_values = np.empty(self.X.shape[0], dtype=np.float64)
         self._grow(np.arange(self.X.shape[0]), depth=0)
         return DecisionTree(
             feature=np.asarray([nd["feature"] for nd in self.nodes], dtype=np.int32),
@@ -111,7 +102,7 @@ class _TreeBuilder:
             left=np.asarray([nd["left"] for nd in self.nodes], dtype=np.int32),
             right=np.asarray([nd["right"] for nd in self.nodes], dtype=np.int32),
             value=np.asarray([nd["value"] for nd in self.nodes], dtype=np.float64),
-        )
+        ), self.row_values
 
     def _leaf_value(self, rows):
         denom = max(float(self.hessian[rows].sum()), NEWTON_DENOM_FLOOR)
@@ -124,19 +115,17 @@ class _TreeBuilder:
             "threshold": 0.0,
             "left": -1,
             "right": -1,
-            "value": self._leaf_value(rows),
+            "value": 0.0,
         }
         self.nodes.append(node)
-        if depth >= self.max_depth or rows.size < 2 * self.min_leaf or rows.size < 2:
-            return node_id
-        split = self._best_split(rows)
-        if split is None:
+        split = depth < self.max_depth and rows.size >= 2 * self.min_leaf and self._best_split(rows)
+        if not split:
+            node["value"] = self.row_values[rows] = self._leaf_value(rows)
             return node_id
         feat, thr = split
         go_left = self.X[rows, feat] <= thr
         node["feature"] = feat
         node["threshold"] = thr
-        node["value"] = 0.0
         node["left"] = self._grow(rows[go_left], depth + 1)
         node["right"] = self._grow(rows[~go_left], depth + 1)
         return node_id
@@ -209,9 +198,9 @@ def fit(X, y, config):
     trees = []
     for _ in range(config.n_trees):
         p = _sigmoid(margins)
-        tree = builder.build(residual=y - p, hessian=p * (1.0 - p))
+        tree, row_values = builder.build(residual=y - p, hessian=p * (1.0 - p))
         trees.append(tree)
-        margins = margins + config.learning_rate * tree.predict(X)
+        margins = margins + config.learning_rate * row_values
     return TreeEnsemble(
         base_margin=base_margin,
         trees=trees,
@@ -226,7 +215,22 @@ def predict_margin_batch(ensemble, X):
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise DataError(f"expected (n, {ensemble.n_features}) matrix, got shape {X.shape}")
     margins = np.full(X.shape[0], ensemble.base_margin)
-    for tree in ensemble.trees:
-        margins += ensemble.learning_rate * tree.predict(X)
+    if not ensemble.trees:
+        return margins
+    # all trees' nodes stacked with int32 node numbers, children renumbered; a
+    # leaf is its own left and right child (its feature -1 reads a column to no effect)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in ensemble.trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    sizes = [tree.feature.size for tree in ensemble.trees]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int32)
+    own, offset = np.arange(feature.size, dtype=np.int32), np.repeat(roots, sizes)
+    left, right = (np.where(feature < 0, own, child + offset) for child in (left, right))
+    # every row down every tree, one level per step
+    node = np.broadcast_to(roots, (X.shape[0], roots.size))
+    rows = np.arange(X.shape[0])[:, None]
+    while (feature[node] >= 0).any():
+        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+    for term in (ensemble.learning_rate * value[node]).T:  # trees in ascending order
+        margins += term
     return margins
-

@@ -6,6 +6,8 @@ all rows from that one fit, select clustering hyperparameters by five-fold
 cross-validation on the training split (mean weighted F1 of the full
 variant), then refit clusters on all training attributions, train every
 variant on the training split, and evaluate once on the untouched holdout.
+select() is the one path from data to a clustering choice; run_experiment
+and the cv and cluster commands all go through it.
 
 Holdout hygiene: test rows never reach scaler fitting, ensemble fitting, the
 attribution background, cluster fitting, or CV selection. The tests enforce
@@ -93,16 +95,19 @@ class ExperimentConfig:
         if self.dataset not in dataset.SCHEMAS:
             raise UsageError(f"unknown dataset {self.dataset!r}")
         # integer settings must be integers: a float would be truncated or
-        # crash mid-run, and a bool is no number
-        counts = [("master_seed", self.master_seed), ("n_seeds", self.n_seeds),
-                  ("n_folds", self.n_folds), ("batch_size", self.batch_size),
-                  ("max_epochs", self.max_epochs), ("patience", self.patience)]
-        counts += [(f"gbm {name}", getattr(self.gbm_config, name))
-                   for name in ("n_trees", "max_depth", "min_samples_leaf")]
-        counts += [("grid k", k) for _, k in self.grid]
-        for name, value in counts:
+        # crash mid-run, and a bool is no number. They are kept as Python
+        # ints, which the JSON manifest takes and summary.md prints plainly
+        def count(name, value):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
+            return int(value)
+
+        for name in ("master_seed", "n_seeds", "n_folds", "batch_size", "max_epochs", "patience"):
+            setattr(self, name, count(name, getattr(self, name)))
+        self.gbm_config = replace(self.gbm_config, **{
+            name: count(f"gbm {name}", getattr(self.gbm_config, name))
+            for name in ("n_trees", "max_depth", "min_samples_leaf")})
+        self.grid = [(spec, count("grid k", k)) for spec, k in self.grid]
         if self.master_seed < 0:
             raise UsageError("master_seed must be >= 0")
         if self.n_seeds < 1:
@@ -245,28 +250,6 @@ def _cv_folds(prepared, config):
     )
 
 
-def check_grid_fits(prepared, config):
-    """UsageError when a grid k is below 1 or above the rows of the smallest
-    CV fit fold.
-
-    Such a cell can only fail, so the check runs before any model is fitted.
-    """
-    smallest = min(len(fit_rows) for fit_rows, _ in _cv_folds(prepared, config))
-    _check_k("grid k", [k for _, k in config.grid], smallest, "the smallest CV fit fold")
-
-
-def check_final_fit(prepared, k):
-    """UsageError when an explicit k is below 1 or above the training rows,
-    which the final cluster refit uses; checked before any model is fitted."""
-    _check_k("k", [k], prepared.train_ids.size, "the training split")
-
-
-def _check_k(name, ks, rows, where):
-    bad = sorted({k for k in ks if not 1 <= k <= rows})
-    if bad:
-        raise UsageError(f"{name} {bad} outside [1, {rows}], the rows of {where}")
-
-
 def _cv_fold_data(prepared, core, config):
     """The fold table: per fold of _cv_folds, the fit and the validation
     (x, shap, y) arrays, cut once per grid and shared by every cell."""
@@ -394,6 +377,47 @@ class RunRecord:
         return self.chosen_spec.label()
 
 
+@dataclass
+class Selection:
+    prepared: PreparedData
+    core: FittedCore
+    chosen: tuple  # (KernelSpec, k, selection_seed)
+    grid: GridResult | None  # None when the choice was given
+    timings: dict  # stage -> seconds
+
+
+def select(config, data_path, chosen=None):
+    """Prepare the data, fit the core and make the clustering choice: the CV
+    grid's best cell, or the given (KernelSpec, k, selection_seed). A k
+    outside [1, rows] can only fail, so before any fit it is a UsageError:
+    grid k against the smallest CV fit fold, a given k against the training
+    split, which the final cluster refit uses."""
+    timings = {}
+    start = time.perf_counter()
+    prepared = prepare(config, data_path)
+    timings["prepare"] = time.perf_counter() - start
+    if chosen is None:
+        name, ks, where = "grid k", [k for _, k in config.grid], "the smallest CV fit fold"
+        rows = min(len(fit_rows) for fit_rows, _ in _cv_folds(prepared, config))
+    else:
+        name, ks, rows, where = "k", [chosen[1]], prepared.train_ids.size, "the training split"
+    bad = sorted({k for k in ks if not 1 <= k <= rows})
+    if bad:
+        raise UsageError(f"{name} {bad} outside [1, {rows}], the rows of {where}")
+
+    start = time.perf_counter()
+    core = fit_core(prepared, config)
+    timings["fit_and_attribute"] = time.perf_counter() - start
+
+    grid = None
+    if chosen is None:
+        start = time.perf_counter()
+        grid = run_cv_grid(prepared, core, config)
+        timings["cv_grid"] = time.perf_counter() - start
+        chosen = (*config.grid[grid.best_index], config.master_seed)
+    return Selection(prepared=prepared, core=core, chosen=chosen, grid=grid, timings=timings)
+
+
 def run_experiment(config, data_path, chosen=None):
     """One full run for one master seed.
 
@@ -401,44 +425,24 @@ def run_experiment(config, data_path, chosen=None):
     running the CV grid; used by seed repetitions so selection happens once
     per dataset.
     """
-    timings = {}
+    sel = select(config, data_path, chosen)
+    spec, k, selection_seed = sel.chosen
     start = time.perf_counter()
-    prepared = prepare(config, data_path)
-    timings["prepare"] = time.perf_counter() - start
-    if chosen is None:
-        check_grid_fits(prepared, config)
-
-    start = time.perf_counter()
-    core = fit_core(prepared, config)
-    timings["fit_and_attribute"] = time.perf_counter() - start
-
-    grid_cells = []
-    selection_seed = config.master_seed
-    if chosen is None:
-        start = time.perf_counter()
-        grid_result = run_cv_grid(prepared, core, config)
-        timings["cv_grid"] = time.perf_counter() - start
-        spec, k = config.grid[grid_result.best_index]
-        grid_cells = grid_result.cells
-    else:
-        spec, k, selection_seed = chosen
-
-    start = time.perf_counter()
-    _, variant_results = run_final(prepared, core, spec, k, config)
-    timings["final"] = time.perf_counter() - start
+    _, variant_results = run_final(sel.prepared, sel.core, spec, k, config)
+    sel.timings["final"] = time.perf_counter() - start
 
     return RunRecord(
         dataset=config.dataset,
         master_seed=config.master_seed,
         selection_seed=selection_seed,
-        n_train=prepared.train_ids.size,
-        n_test=prepared.test_ids.size,
-        n_features=prepared.matrix.values.shape[1],
+        n_train=sel.prepared.train_ids.size,
+        n_test=sel.prepared.test_ids.size,
+        n_features=sel.prepared.matrix.values.shape[1],
         chosen_spec=spec,
         chosen_k=k,
-        grid_cells=grid_cells,
+        grid_cells=[] if sel.grid is None else sel.grid.cells,
         variants=variant_results,
-        timings=timings,
+        timings=sel.timings,
     )
 
 
@@ -649,7 +653,8 @@ def write_text(out_dir, name, text):
 
 
 def emit_report(records, out_dir):
-    """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest."""
+    """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest,
+    rendering them all first, so a record that cannot be rendered writes none."""
     if not records:
         raise DataError("no records to report")
     check_writable(out_dir)
@@ -658,7 +663,7 @@ def emit_report(records, out_dir):
     for record in records:
         by_dataset.setdefault(record.dataset, []).append(record)
 
-    written = []
+    files = []  # (name, text) in writing order
     summary_lines = ["# Experiment summary", ""]
     manifest = {"datasets": {}, "runs": [], "reference_check": {}}
     for ds, recs in sorted(by_dataset.items()):
@@ -666,7 +671,7 @@ def emit_report(records, out_dir):
         rows = _variant_metric_rows(recs, variants)
         lines = [",".join(["variant", *metrics.REPORTED])]
         lines += [_table_row(variant, med, repr, ",") for variant, med in rows]
-        written.append(write_text(out_dir, f"{ds}_metrics.csv", "\n".join(lines) + "\n"))
+        files.append((f"{ds}_metrics.csv", "\n".join(lines) + "\n"))
 
         roc_source = _median_record(recs)
         for variant in variants:
@@ -674,8 +679,7 @@ def emit_report(records, out_dir):
             if vr is None or vr.report is None or not vr.report.roc_points:
                 continue
             roc_lines = ["fpr,tpr", *(f"{fpr!r},{tpr!r}" for fpr, tpr in vr.report.roc_points)]
-            roc_text = "\n".join(roc_lines) + "\n"
-            written.append(write_text(out_dir, f"{ds}_roc_{variant}.csv", roc_text))
+            files.append((f"{ds}_roc_{variant}.csv", "\n".join(roc_lines) + "\n"))
 
         chosen = f"kernel={recs[0].chosen_kernel}, k={recs[0].chosen_k}"
         seeds = [r.master_seed for r in recs]
@@ -719,7 +723,7 @@ def emit_report(records, out_dir):
         }
 
     manifest["runs"] = [_RUN.write(r) for r in records]
-    written.append(write_text(out_dir, "summary.md", "\n".join(summary_lines) + "\n"))
-    written.append(write_text(out_dir, "manifest.json",
-                              json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"))
-    return written
+    files.append(("summary.md", "\n".join(summary_lines) + "\n"))
+    files.append(("manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"))
+    return [write_text(out_dir, name, text) for name, text in files]

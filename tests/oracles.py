@@ -1,7 +1,12 @@
 """Slow reference implementations that the fast code is tested against.
 
 - exact_shapley_oracle: the Shapley sum over all 2^p coalitions, the
-  reference for interventional TreeSHAP (acceptance criterion 2).
+  reference for interventional TreeSHAP (acceptance criterion 2). Its
+  margins come from loop_predict_margin, so it shares no code with the
+  package's prediction.
+- loop_predict_margin: the per-node tree walk that gbm.predict_margin_batch
+  replaces with one level-at-a-time pass over every tree; the array code
+  must return the same margins, bit for bit.
 - loop_accumulate_tree: the per-leaf TreeSHAP loop that
   attribution._accumulate_tree replaces with per-tree leaf tables; patched
   into attribution, it must give the same SHAP values, bit for bit.
@@ -69,7 +74,7 @@ def exact_shapley_oracle(ensemble, x, bg):
     for s in range(0, 1 << p, chunk):
         take_x = bits[s : s + chunk].astype(bool)
         hybrid = np.where(take_x[:, None, :], x[None, None, :], bgr[None, :, :])
-        margins = gbm.predict_margin_batch(ensemble, hybrid.reshape(-1, p))
+        margins = loop_predict_margin(ensemble, hybrid.reshape(-1, p))
         v[s : s + chunk] = margins.reshape(-1, m).mean(axis=1)
     sizes = bits.sum(axis=1)
     fact = [math.factorial(k) for k in range(p + 1)]
@@ -79,6 +84,26 @@ def exact_shapley_oracle(ensemble, x, bg):
         without = np.flatnonzero(((masks >> i) & 1) == 0)
         phi[i] = np.sum(weight[sizes[without]] * (v[without | (1 << i)] - v[without]))
     return ShapMatrix(values=phi[None, :], base_value=float(v[0]))
+
+
+def loop_predict_margin(ensemble, X):
+    """Base margin plus each tree's learning-rate-scaled leaf value, trees in
+    ascending order; each tree is walked node by node, splitting the rows."""
+    X = np.asarray(X, dtype=np.float64)
+    margins = np.full(X.shape[0], ensemble.base_margin)
+    for tree in ensemble.trees:
+        leaf_values = np.empty(X.shape[0], dtype=np.float64)
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if tree.feature[node] < 0:
+                leaf_values[idx] = tree.value[node]
+                continue
+            go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+            stack.append((tree.left[node], idx[go_left]))
+            stack.append((tree.right[node], idx[~go_left]))
+        margins += ensemble.learning_rate * leaf_values
+    return margins
 
 
 def leaf_boxes(tree):

@@ -446,6 +446,36 @@ def test_cv_shows_error_of_cell_that_failed_after_a_fold(capsys, tmp_path, heart
     assert 0.0 <= float(fold_f1) <= 1.0
 
 
+def test_run_cv_and_cluster_make_one_selection(capsys, tmp_path, heart_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["rbf_g0.1", 3]]}))
+    common = ["--dataset", "heart", "--data-path", heart_path, "--config", str(config)]
+    capsys.readouterr()
+
+    assert cli.main(["cv", *common, "--out", str(tmp_path / "cv")]) == 0
+    starred = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+               if line.endswith(" *")]
+    assert len(starred) == 1
+    from_cv = (starred[0][0], int(starred[0][1]))
+
+    assert cli.main(["cluster", *common, "--out", str(tmp_path / "clusters")]) == 0
+    selected = capsys.readouterr().out.splitlines()[0].split()
+    assert selected[0] == "selected" and selected[3:] == ["by", "cross-validation"]
+    from_cluster = (selected[1].removeprefix("kernel="), int(selected[2].removeprefix("k=")))
+
+    assert cli.main(["run", *common, "--seeds", "1", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    run = json.loads((tmp_path / "run" / "manifest.json").read_text())["runs"][0]
+    assert from_cv == from_cluster == (run["chosen_kernel"], run["chosen_k"])
+
+    # the cv grid CSV holds the grid cells of the run's manifest
+    rows = [line.split(",") for line in
+            (tmp_path / "cv" / "heart_cv_grid.csv").read_text().splitlines()[1:]]
+    assert [(kernel, int(k), float(mean_f1), [float(v) for v in fold_f1.split(";")], error or None)
+            for kernel, k, mean_f1, fold_f1, error in rows] == [
+        (c["kernel"], c["k"], c["mean_f1"], c["fold_f1"], c["error"]) for c in run["grid"]]
+
+
 def test_explain_writes_shap_matrices(capsys, tmp_path, heart_path, fast_config):
     out = tmp_path / "shap"
     code = cli.main([

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_best_split
+from oracles import loop_best_split, loop_predict_margin
 from shapgate import gbm
 from shapgate.errors import DataError
 
@@ -82,10 +82,9 @@ def test_stage_losses_non_increasing():
     y = (logits > 0).astype(int)
     ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=30))
     # mean log loss after each stage, rebuilt from the fitted trees
-    margins = np.full(y.size, ens.base_margin)
-    losses = [np.mean(np.logaddexp(0.0, margins) - y * margins)]
-    for tree in ens.trees:
-        margins = margins + ens.learning_rate * tree.predict(X)
+    losses = []
+    for stage in range(ens.n_trees + 1):
+        margins = loop_predict_margin(dataclasses.replace(ens, trees=ens.trees[:stage]), X)
         losses.append(np.mean(np.logaddexp(0.0, margins) - y * margins))
     losses = np.asarray(losses)
     assert losses.size == 31
@@ -262,3 +261,68 @@ def test_fit_bit_identical_under_row_permutation(case):
     # trees match bit for bit even where split gains tie
     X, y, config, perm = case
     assert ensemble_bytes(gbm.fit(X, y, config)) == ensemble_bytes(gbm.fit(X[perm], y[perm], config))
+
+
+# split thresholds, which the rows below also draw from, so that some rows sit
+# exactly on a threshold
+THRESHOLDS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def random_trees(draw, n_features):
+    """A DecisionTree of depth 0 (a lone root leaf) to 7, nodes in the
+    builder's order: a node, then its left subtree, then its right one."""
+    depth = draw(st.integers(0, 7))
+    nodes = []  # [feature, threshold, left, right, value]
+
+    def grow(level, on_deepest_path):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        # the leftmost path always reaches the drawn depth
+        if level < depth and (on_deepest_path or draw(st.booleans())):
+            nodes[node][:2] = draw(st.integers(0, n_features - 1)), draw(st.sampled_from(THRESHOLDS))
+            nodes[node][2] = grow(level + 1, on_deepest_path)
+            nodes[node][3] = grow(level + 1, False)
+        else:
+            nodes[node][4] = draw(st.floats(-1e3, 1e3))
+        return node
+
+    grow(0, True)
+    feature, threshold, left, right, value = zip(*nodes)
+    return gbm.DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32), threshold=np.asarray(threshold),
+        left=np.asarray(left, dtype=np.int32), right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value))
+
+
+@st.composite
+def ensembles_and_rows(draw):
+    p = draw(st.integers(1, 4))
+    ens = gbm.TreeEnsemble(
+        base_margin=draw(st.floats(-3.0, 3.0)),
+        trees=draw(st.lists(random_trees(p), max_size=6)),
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        n_features=p,
+    )
+    n = draw(st.integers(0, 20))
+    cells = st.one_of(st.sampled_from(THRESHOLDS), st.floats(-2.0, 2.0))
+    X = np.asarray(draw(st.lists(cells, min_size=n * p, max_size=n * p)),
+                   dtype=np.float64).reshape(n, p)
+    return ens, X
+
+
+def _lone_leaf(value):
+    return gbm.DecisionTree(feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+                            left=np.array([-1], dtype=np.int32),
+                            right=np.array([-1], dtype=np.int32), value=np.array([value]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles_and_rows())
+@example((gbm.TreeEnsemble(base_margin=0.5, trees=[], learning_rate=0.1, n_features=2),
+          np.zeros((3, 2))))  # zero trees
+@example((gbm.TreeEnsemble(base_margin=0.5, trees=[_lone_leaf(0.3), _lone_leaf(-7.0)],
+                           learning_rate=0.1, n_features=1), np.zeros((3, 1))))  # root-only trees
+def test_margin_matches_the_loop(case):
+    ens, X = case
+    assert gbm.predict_margin_batch(ens, X).tobytes() == loop_predict_margin(ens, X).tobytes()

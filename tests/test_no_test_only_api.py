@@ -8,9 +8,10 @@ Every field, property and method of a class in src/shapgate must likewise be
 read there: as an attribute load, through getattr with a constant name, or
 as a name in metrics.REPORTED, which metric_dict and the report rows read
 through getattr, or as a record attribute in pipeline.MANIFEST_SCHEMA, which
-the manifest writer reads through getattr. A read in the class's own __init__
-or __post_init__ does not count. Reads are matched by name alone, so a dead
-field that shares its name with a field another class reads goes unseen.
+the manifest writer reads through getattr. A `self.<name>` read inside the
+methods of class C reads only C's member <name>, and one in C's own __init__
+or __post_init__ reads nothing. Every other read is matched by name alone:
+the receiver's class is not known there.
 """
 
 import ast
@@ -81,46 +82,60 @@ def test_every_package_definition_has_a_non_test_caller():
 
 
 def _attribute_reads(node):
-    """Attribute names read under node: loads, and getattr with a constant name."""
-    reads = Counter()
+    """(on_self, name) of each attribute read under node, the loads and getattr
+    with a constant name; on_self tells whether the receiver is `self`."""
+    reads = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            reads[sub.attr] += 1
+            receiver, name = sub.value, sub.attr
         elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
               and sub.func.id == "getattr" and len(sub.args) > 1
               and isinstance(sub.args[1], ast.Constant) and isinstance(sub.args[1].value, str)):
-            reads[sub.args[1].value] += 1
+            receiver, name = sub.args[0], sub.args[1].value
+        else:
+            continue
+        reads.append((isinstance(receiver, ast.Name) and receiver.id == "self", name))
     return reads
 
 
+def _methods(cls):
+    return [stmt for stmt in cls.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def _class_members(cls):
-    """The class's annotated fields, properties and non-dunder methods, and the
-    attribute reads of its own __init__ and __post_init__."""
-    members, own_reads = [], Counter()
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            members.append(stmt.target.id)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name in ("__init__", "__post_init__"):
-                own_reads += _attribute_reads(stmt)
-            elif not (stmt.name.startswith("__") and stmt.name.endswith("__")):
-                members.append(stmt.name)
-    return members, own_reads
+    """The class's annotated fields, properties and non-dunder methods."""
+    members = [stmt.target.id for stmt in cls.body
+               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return members + [m.name for m in _methods(cls)
+                      if not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
+def _reads(trees):
+    """Reads by name, whatever the receiver, and reads per (class, name) of
+    `self.<name>` inside a class's methods outside __init__ and __post_init__."""
+    by_name, by_class = Counter(), Counter()
+    for tree in trees.values():
+        by_name.update(name for on_self, name in _attribute_reads(tree) if not on_self)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in _methods(cls):
+                if method.name not in ("__init__", "__post_init__"):
+                    by_class.update((cls.name, name) for on_self, name
+                                    in _attribute_reads(method) if on_self)
+    return by_name, by_class
 
 
 def test_every_class_field_has_a_non_test_reader():
     trees = _sources()
-    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
-    reads.update(metrics.REPORTED)
-    reads.update(f.attr or f.key for fields in pipeline.MANIFEST_SCHEMA.values() for f in fields)
+    by_name, by_class = _reads(trees)
+    by_name.update(metrics.REPORTED)
+    by_name.update(f.attr or f.key for fields in pipeline.MANIFEST_SCHEMA.values() for f in fields)
     unread = set()
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            members, own_reads = _class_members(cls)
-            unread.update(f"{cls.name}.{name}" for name in members
-                          if reads[name] <= own_reads[name])
+            unread.update(f"{cls.name}.{name}" for name in _class_members(cls)
+                          if not by_name[name] and not by_class[cls.name, name])
     dead = sorted(unread - RESERVED_FOR_MANIFEST)
     assert not dead, f"class members in src/shapgate that no non-test code reads: {dead}"
     gone = sorted(RESERVED_FOR_MANIFEST - unread)

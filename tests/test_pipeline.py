@@ -83,12 +83,14 @@ def test_grid_k_outside_fit_fold_stops_before_fitting(diabetes_path, monkeypatch
     folds = pipeline._cv_folds(prepared, config)
     smallest = min(len(fit_rows) for fit_rows, _ in folds)
     spec = kernel_kmeans.KernelSpec("linear")
-    pipeline.check_grid_fits(prepared, small_config(grid=[(spec, 1), (spec, smallest)]))
 
     def no_fit(*args, **kwargs):
         raise AssertionError("gbm.fit ran before the grid check")
 
     monkeypatch.setattr(pipeline.gbm, "fit", no_fit)
+    # the smallest and the largest valid k get past the check, as far as the first fit
+    with pytest.raises(AssertionError, match="gbm.fit ran"):
+        pipeline.select(small_config(grid=[(spec, 1), (spec, smallest)]), diabetes_path)
     for k in (smallest + 1, 0):
         with pytest.raises(UsageError, match=f"grid k \\[{k}\\]"):
             pipeline.run_experiment(small_config(grid=[(spec, 2), (spec, k)]), diabetes_path)
@@ -375,6 +377,20 @@ def test_emit_report_single_variant_four_files(tmp_path, diabetes_path):
     assert names == [
         "diabetes_metrics.csv", "diabetes_roc_full.csv", "manifest.json", "summary.md",
     ]
+
+
+def test_numpy_integer_settings_report_like_ints(tmp_path, diabetes_path):
+    config = small_config(master_seed=np.int64(0), variants=("full",), max_epochs=10,
+                          grid=[(SMALL_GRID[0][0], np.int64(2))])
+    assert type(config.master_seed) is int and type(config.grid[0][1]) is int
+    record = pipeline.run_experiment(config, diabetes_path)
+    out, again = tmp_path / "out", tmp_path / "again"
+    pipeline.emit_report([record], out)
+    assert "seeds [0])" in (out / "summary.md").read_text()
+    manifest = json.loads((out / "manifest.json").read_text())
+    pipeline.emit_report(pipeline.records_from_manifest(manifest), again)
+    for name in ("diabetes_metrics.csv", "summary.md", "manifest.json"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def _strip_timings(node):
