@@ -156,6 +156,59 @@ def _name_tag(name):
     return zlib.crc32(name.encode("utf-8"))
 
 
+def _resolve_jobs(jobs):
+    """The process count a run deals its work over: jobs, or every usable
+    core when None, clamped to the usable cores. The outputs do not depend
+    on it. jobs below 1 is a UsageError."""
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer))
+                             or jobs < 1):
+        raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return cores if jobs is None else min(int(jobs), cores)
+
+
+_inherited = None  # a forked worker's (fn, calls, jobs), set by _inherit
+
+
+def _inherit(fn, calls, jobs):
+    global _inherited
+    _inherited = (fn, calls, jobs)
+
+
+def _work_share(share):
+    fn, calls, jobs = _inherited
+    return [fn(*args) for args in calls[share::jobs]]
+
+
+def _map(fn, calls, jobs):
+    """[fn(*args) for args in calls], in call order. The calls are dealt
+    round-robin over this process, which works share 0, and jobs - 1 forked
+    workers. A worker inherits fn and the calls through the fork, is sent
+    only its share index and pickles back only its results; a spawned one
+    would import numpy and the package again and be sent every input. The
+    deal is static, so a share holds the same calls on every run. Where fork
+    is unavailable every call runs here."""
+    jobs = min(jobs, len(calls))
+    if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            jobs = 1
+    if jobs <= 1:
+        return [fn(*args) for args in calls]
+    out = [None] * len(calls)
+    # the pool forks its workers at the first submit, before it starts its
+    # own thread; leaving the block waits for every worker to exit
+    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(fn, calls, jobs)) as pool:
+        futures = [pool.submit(_work_share, share) for share in range(1, jobs)]
+        out[0::jobs] = [fn(*args) for args in calls[0::jobs]]
+        for share, future in enumerate(futures, start=1):
+            out[share::jobs] = future.result()
+    return out
+
+
 @dataclass
 class PreparedData:
     dataset: str
@@ -287,10 +340,11 @@ def _grid_cell(folds, spec, k, config):
     return GridCell(kernel=spec.label(), k=k, fold_f1=fold_f1, mean_f1=float(np.mean(fold_f1)))
 
 
-def run_cv_grid(prepared, core, config):
-    """Mean five-fold weighted F1 of the full variant for every grid cell."""
+def run_cv_grid(prepared, core, config, jobs=1):
+    """Mean five-fold weighted F1 of the full variant for every grid cell,
+    the cells dealt over jobs processes."""
     folds = _cv_fold_data(prepared, core, config)
-    cells = [_grid_cell(folds, spec, k, config) for spec, k in config.grid]
+    cells = _map(_grid_cell, [(folds, spec, k, config) for spec, k in config.grid], jobs)
     means = np.array([c.mean_f1 for c in cells])
     if np.all(np.isnan(means)):
         raise DataError("every grid cell failed during cross-validation")
@@ -323,8 +377,29 @@ def refit_clusters(core, spec, k, master_seed):
                           seed=child_seed(master_seed, 5))
 
 
-def run_final(prepared, core, spec, k, config):
-    """Refit clusters on all training attributions, train and evaluate variants."""
+def _final_variant(variant, train_parts, test_parts, y_train, y_test, shap_hash, config):
+    """The VariantResult of one variant trained on the training split and
+    evaluated on the holdout; parts are (x, shap, onehot) per split."""
+    start = time.perf_counter()
+    try:
+        net_cfg = config.net_config(seed=child_seed(config.master_seed, 6, _name_tag(variant)))
+        train_batch = _variant_batch(variant, net_cfg.seed, *train_parts)
+        test_batch = _variant_batch(variant, net_cfg.seed, *test_parts)
+        # final fit has no held-back fold: early stopping monitors training loss
+        fitted = network.train(train_batch, y_train, train_batch, y_train, net_cfg)
+        probs = network.predict(fitted.params, test_batch)
+        report = metrics.evaluate(probs, y_test)
+    except ShapgateError as e:
+        return VariantResult(report=None, gate_input_sha256=None,
+                             train_seconds=time.perf_counter() - start, error=str(e))
+    gate = shap_hash if VARIANT_WIRING[variant][0] == "shap" else None
+    return VariantResult(report=report, gate_input_sha256=gate,
+                         train_seconds=time.perf_counter() - start)
+
+
+def run_final(prepared, core, spec, k, config, jobs=1):
+    """Refit clusters on all training attributions, train and evaluate
+    variants, the variants dealt over jobs processes."""
     X = prepared.matrix.values
     y = prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
@@ -332,30 +407,9 @@ def run_final(prepared, core, spec, k, config):
     train_parts = (X[tr], core.shap_train.values, kernel_kmeans.onehot(cluster_model.assignment, k))
     test_parts = (X[te], core.shap_test.values, kernel_kmeans.onehot(test_assignment, k))
     shap_hash = _gate_hash(core)
-    results = {}
-    for variant in config.variants:
-        start = time.perf_counter()
-        try:
-            net_cfg = config.net_config(
-                seed=child_seed(config.master_seed, 6, _name_tag(variant))
-            )
-            train_batch = _variant_batch(variant, net_cfg.seed, *train_parts)
-            test_batch = _variant_batch(variant, net_cfg.seed, *test_parts)
-            # final fit has no held-back fold: early stopping monitors training loss
-            fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
-            probs = network.predict(fitted.params, test_batch)
-            report = metrics.evaluate(probs, y[te])
-            gate = shap_hash if VARIANT_WIRING[variant][0] == "shap" else None
-            results[variant] = VariantResult(
-                report=report, gate_input_sha256=gate,
-                train_seconds=time.perf_counter() - start,
-            )
-        except ShapgateError as e:
-            results[variant] = VariantResult(
-                report=None, gate_input_sha256=None,
-                train_seconds=time.perf_counter() - start, error=str(e),
-            )
-    return cluster_model, results
+    calls = [(variant, train_parts, test_parts, y[tr], y[te], shap_hash, config)
+             for variant in config.variants]
+    return cluster_model, dict(zip(config.variants, _map(_final_variant, calls, jobs)))
 
 
 @dataclass
@@ -386,12 +440,13 @@ class Selection:
     timings: dict  # stage -> seconds
 
 
-def select(config, data_path, chosen=None):
+def select(config, data_path, chosen=None, jobs=None):
     """Prepare the data, fit the core and make the clustering choice: the CV
     grid's best cell, or the given (KernelSpec, k, selection_seed). A k
     outside [1, rows] can only fail, so before any fit it is a UsageError:
     grid k against the smallest CV fit fold, a given k against the training
-    split, which the final cluster refit uses."""
+    split, which the final cluster refit uses. jobs is as in _resolve_jobs."""
+    jobs = _resolve_jobs(jobs)
     timings = {}
     start = time.perf_counter()
     prepared = prepare(config, data_path)
@@ -412,23 +467,24 @@ def select(config, data_path, chosen=None):
     grid = None
     if chosen is None:
         start = time.perf_counter()
-        grid = run_cv_grid(prepared, core, config)
+        grid = run_cv_grid(prepared, core, config, jobs)
         timings["cv_grid"] = time.perf_counter() - start
         chosen = (*config.grid[grid.best_index], config.master_seed)
     return Selection(prepared=prepared, core=core, chosen=chosen, grid=grid, timings=timings)
 
 
-def run_experiment(config, data_path, chosen=None):
+def run_experiment(config, data_path, chosen=None, jobs=None):
     """One full run for one master seed.
 
     chosen: optional (KernelSpec, k, selection_seed) to reuse instead of
     running the CV grid; used by seed repetitions so selection happens once
-    per dataset.
+    per dataset. jobs is as in _resolve_jobs.
     """
-    sel = select(config, data_path, chosen)
+    jobs = _resolve_jobs(jobs)
+    sel = select(config, data_path, chosen, jobs)
     spec, k, selection_seed = sel.chosen
     start = time.perf_counter()
-    _, variant_results = run_final(sel.prepared, sel.core, spec, k, config)
+    _, variant_results = run_final(sel.prepared, sel.core, spec, k, config, jobs)
     sel.timings["final"] = time.perf_counter() - start
 
     return RunRecord(
@@ -446,13 +502,16 @@ def run_experiment(config, data_path, chosen=None):
     )
 
 
-def run_many(config, data_path):
+def run_many(config, data_path, jobs=None):
     """config.n_seeds repetitions. CV selection runs once, on the first seed;
-    seeds 2..N run only from the selection it made."""
-    first = run_experiment(config, data_path)
+    seeds 2..N run only from the selection it made, one seed per call of a
+    map over jobs processes (see _resolve_jobs)."""
+    jobs = _resolve_jobs(jobs)
+    first = run_experiment(config, data_path, jobs=jobs)
     chosen = (first.chosen_spec, first.chosen_k, first.master_seed)
-    rest = [replace(config, master_seed=config.master_seed + i) for i in range(1, config.n_seeds)]
-    return [first] + [run_experiment(cfg, data_path, chosen=chosen) for cfg in rest]
+    rest = [(replace(config, master_seed=config.master_seed + i), data_path, chosen, 1)
+            for i in range(1, config.n_seeds)]
+    return [first] + _map(run_experiment, rest, jobs)
 
 
 # ------------------------------------------------------------------ manifest

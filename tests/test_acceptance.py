@@ -404,12 +404,14 @@ def test_criterion_09_metric_identities(battery):
 
 @pytest.mark.slow
 def test_criterion_10_rerun_reproduces_metric_csvs(battery, tmp_path):
-    """A fresh run with the same config and seed emits byte-identical CSVs."""
+    """A fresh run with the same config and seed emits byte-identical CSVs.
+    The fresh run works in one process and the battery's on every usable
+    core, so this also compares process counts."""
     info = battery["diabetes"]
     config = pipeline.ExperimentConfig(
         dataset="diabetes", master_seed=0, n_seeds=BATTERY_SEEDS
     )
-    fresh = pipeline.run_experiment(config, info["path"])
+    fresh = pipeline.run_experiment(config, info["path"], jobs=1)
     first = pipeline.emit_report([info["records"][0]], tmp_path / "first")
     second = pipeline.emit_report([fresh], tmp_path / "second")
     first_csvs = [Path(p) for p in first if p.endswith(".csv")]

@@ -9,6 +9,7 @@ cluster structure IS the label so the recovered k is known in advance.
 
 import contextlib
 import json
+import multiprocessing
 import os
 from dataclasses import fields, replace
 
@@ -535,3 +536,40 @@ def test_child_seed_deterministic_and_tag_sensitive():
     assert pipeline.child_seed(3, 1, 2) == pipeline.child_seed(3, 1, 2)
     assert pipeline.child_seed(3, 1, 2) != pipeline.child_seed(3, 2, 1)
     assert pipeline.child_seed(3, 1) != pipeline.child_seed(4, 1)
+
+
+# ------------------------------------------------------------ processes
+
+def test_jobs_above_the_usable_cores_run_in_this_process(diabetes_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked on a one-core host")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert pipeline._resolve_jobs(None) == pipeline._resolve_jobs(64) == 1
+    # two grid cells and four variants, each of which two processes would share
+    record = pipeline.run_experiment(small_config(max_epochs=5), diabetes_path, jobs=64)
+    assert len(record.grid_cells) == 2 and len(record.variants) == 4
+
+
+def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
+        diabetes_path, monkeypatch):
+    real_train = network.train
+
+    def break_at_k3(fit_batch, y_fit, val_batch, y_val, config):
+        # the rbf k=3 cell, the second, is the forked worker's share
+        if fit_batch.onehot is not None and fit_batch.onehot.shape[1] == 3:
+            raise RuntimeError("not a shapgate error")
+        return real_train(fit_batch, y_fit, val_batch, y_val, config)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(network, "train", break_at_k3)
+    config = small_config(max_epochs=5)
+    with pytest.raises(RuntimeError, match="not a shapgate error") as raised:
+        pipeline.run_experiment(config, diabetes_path, jobs=2)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"  # raised in the worker
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(network, "train", real_train)
+    record = pipeline.run_experiment(config, diabetes_path, jobs=2)
+    assert all(c.error is None for c in record.grid_cells)
+    assert multiprocessing.active_children() == []
