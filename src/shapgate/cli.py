@@ -39,13 +39,6 @@ def _add_common(sub):
                      help="JSON file overriding experiment settings (see README)")
 
 
-def _add_jobs(sub):
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="processes to deal the CV grid cells, variants and seeds over, "
-                          "this one included (default: every usable core); "
-                          "the outputs do not depend on it")
-
-
 def build_parser():
     parser = _Parser(prog="shapgate", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -57,12 +50,10 @@ def build_parser():
     run.add_argument("--out", default="results", help="report output directory")
     run.add_argument("--variant", default=None,
                      help="comma-separated variant subset (default: all four)")
-    _add_jobs(run)
 
     cv = subs.add_parser("cv", help="clustering grid selection only")
     _add_common(cv)
     cv.add_argument("--out", default=None, help="optional directory for the grid CSV")
-    _add_jobs(cv)
 
     explain = subs.add_parser("explain", help="dump attribution matrices")
     _add_common(explain)
@@ -76,7 +67,6 @@ def build_parser():
                               "omit to select by cross-validation")
     cluster.add_argument("--k", type=int, default=None,
                          help="cluster count; omit to select by cross-validation")
-    _add_jobs(cluster)
 
     report = subs.add_parser("report", help="re-render files from a manifest")
     report.add_argument("--manifest", required=True, help="manifest.json from a run")
@@ -176,7 +166,7 @@ def _print_record(record):
 def cmd_run(args):
     config = load_config(args)
     path = dataset.resolve_data_path(config.dataset, args.data_path)
-    records = pipeline.run_many(config, path, args.jobs)
+    records = pipeline.run_many(config, path)
     for record in records:
         _print_record(record)
     written = pipeline.emit_report(records, args.out)
@@ -187,8 +177,7 @@ def cmd_run(args):
 
 def cmd_cv(args):
     config = load_config(args)
-    path = dataset.resolve_data_path(config.dataset, args.data_path)
-    result = pipeline.select(config, path, jobs=args.jobs).grid
+    result = pipeline.select(config, dataset.resolve_data_path(config.dataset, args.data_path)).grid
     print(f"{'kernel':<14} {'k':>2}  {'mean_f1':>8}  fold F1")
     for i, cell in enumerate(result.cells):
         marker = " *" if i == result.best_index else ""
@@ -227,8 +216,7 @@ def cmd_cluster(args):
     chosen = None
     if args.kernel is not None:
         chosen = (_spec_from_flag(args.kernel), args.k, config.master_seed)
-    path = dataset.resolve_data_path(config.dataset, args.data_path)
-    sel = pipeline.select(config, path, chosen, args.jobs)
+    sel = pipeline.select(config, dataset.resolve_data_path(config.dataset, args.data_path), chosen)
     spec, k, _ = sel.chosen
     if chosen is None:
         print(f"selected kernel={spec.label()} k={k} by cross-validation")

@@ -156,56 +156,60 @@ def _name_tag(name):
     return zlib.crc32(name.encode("utf-8"))
 
 
-def _resolve_jobs(jobs):
-    """The process count a run deals its work over: jobs, or every usable
-    core when None, clamped to the usable cores. The outputs do not depend
-    on it. jobs below 1 is a UsageError."""
-    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer))
-                             or jobs < 1):
-        raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+def _processes():
+    """How many processes a map deals its calls over: the usable cores over
+    the BLAS threads each process runs, so that the two together stay within
+    the cores. OpenBLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS,
+    and with neither set runs a thread per core, which leaves no core for a
+    second process. The outputs do not depend on the count."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return cores if jobs is None else min(int(jobs), cores)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, cores // int(threads))
+    return 1
 
 
-_inherited = None  # a forked worker's (fn, calls, jobs), set by _inherit
-
-
-def _inherit(fn, calls, jobs):
-    global _inherited
-    _inherited = (fn, calls, jobs)
+_inherited = None  # (fn, calls, processes) of the map in progress, here or in a worker
 
 
 def _work_share(share):
-    fn, calls, jobs = _inherited
-    return [fn(*args) for args in calls[share::jobs]]
+    fn, calls, processes = _inherited
+    return [fn(*args) for args in calls[share::processes]]
 
 
-def _map(fn, calls, jobs):
+def _map(fn, calls):
     """[fn(*args) for args in calls], in call order. The calls are dealt
-    round-robin over this process, which works share 0, and jobs - 1 forked
-    workers. A worker inherits fn and the calls through the fork, is sent
-    only its share index and pickles back only its results; a spawned one
-    would import numpy and the package again and be sent every input. The
-    deal is static, so a share holds the same calls on every run. Where fork
-    is unavailable every call runs here."""
-    jobs = min(jobs, len(calls))
-    if jobs > 1:
+    round-robin over this process, which works share 0, and forked workers,
+    _processes() in all. A worker inherits fn and the calls in _inherited
+    through the fork, is sent only its share index and pickles back only its
+    results; a spawned one would import numpy and the package again and be
+    sent every input. The deal is static, so a share holds the same calls on
+    every run. A map made inside another, here or in a worker, and every map
+    where fork is unavailable, runs in one process."""
+    global _inherited
+    processes = 1 if _inherited is not None else min(_processes(), len(calls))
+    if processes > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         if "fork" not in multiprocessing.get_all_start_methods():
-            jobs = 1
-    if jobs <= 1:
+            processes = 1
+    if processes <= 1:
         return [fn(*args) for args in calls]
     out = [None] * len(calls)
-    # the pool forks its workers at the first submit, before it starts its
-    # own thread; leaving the block waits for every worker to exit
-    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(fn, calls, jobs)) as pool:
-        futures = [pool.submit(_work_share, share) for share in range(1, jobs)]
-        out[0::jobs] = [fn(*args) for args in calls[0::jobs]]
-        for share, future in enumerate(futures, start=1):
-            out[share::jobs] = future.result()
+    _inherited = (fn, calls, processes)
+    try:
+        # the pool forks its workers at the first submit, before it starts
+        # its own thread; leaving the block waits for every worker to exit
+        with ProcessPoolExecutor(processes - 1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_work_share, share) for share in range(1, processes)]
+            out[0::processes] = [fn(*args) for args in calls[0::processes]]
+            for share, future in enumerate(futures, start=1):
+                out[share::processes] = future.result()
+    finally:
+        _inherited = None
     return out
 
 
@@ -340,11 +344,11 @@ def _grid_cell(folds, spec, k, config):
     return GridCell(kernel=spec.label(), k=k, fold_f1=fold_f1, mean_f1=float(np.mean(fold_f1)))
 
 
-def run_cv_grid(prepared, core, config, jobs=1):
+def run_cv_grid(prepared, core, config):
     """Mean five-fold weighted F1 of the full variant for every grid cell,
-    the cells dealt over jobs processes."""
+    the cells dealt over processes by _map."""
     folds = _cv_fold_data(prepared, core, config)
-    cells = _map(_grid_cell, [(folds, spec, k, config) for spec, k in config.grid], jobs)
+    cells = _map(_grid_cell, [(folds, spec, k, config) for spec, k in config.grid])
     means = np.array([c.mean_f1 for c in cells])
     if np.all(np.isnan(means)):
         raise DataError("every grid cell failed during cross-validation")
@@ -397,9 +401,9 @@ def _final_variant(variant, train_parts, test_parts, y_train, y_test, shap_hash,
                          train_seconds=time.perf_counter() - start)
 
 
-def run_final(prepared, core, spec, k, config, jobs=1):
+def run_final(prepared, core, spec, k, config):
     """Refit clusters on all training attributions, train and evaluate
-    variants, the variants dealt over jobs processes."""
+    variants, the variants dealt over processes by _map."""
     X = prepared.matrix.values
     y = prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
@@ -409,7 +413,7 @@ def run_final(prepared, core, spec, k, config, jobs=1):
     shap_hash = _gate_hash(core)
     calls = [(variant, train_parts, test_parts, y[tr], y[te], shap_hash, config)
              for variant in config.variants]
-    return cluster_model, dict(zip(config.variants, _map(_final_variant, calls, jobs)))
+    return cluster_model, dict(zip(config.variants, _map(_final_variant, calls)))
 
 
 @dataclass
@@ -440,13 +444,12 @@ class Selection:
     timings: dict  # stage -> seconds
 
 
-def select(config, data_path, chosen=None, jobs=None):
+def select(config, data_path, chosen=None):
     """Prepare the data, fit the core and make the clustering choice: the CV
     grid's best cell, or the given (KernelSpec, k, selection_seed). A k
     outside [1, rows] can only fail, so before any fit it is a UsageError:
     grid k against the smallest CV fit fold, a given k against the training
-    split, which the final cluster refit uses. jobs is as in _resolve_jobs."""
-    jobs = _resolve_jobs(jobs)
+    split, which the final cluster refit uses."""
     timings = {}
     start = time.perf_counter()
     prepared = prepare(config, data_path)
@@ -467,24 +470,23 @@ def select(config, data_path, chosen=None, jobs=None):
     grid = None
     if chosen is None:
         start = time.perf_counter()
-        grid = run_cv_grid(prepared, core, config, jobs)
+        grid = run_cv_grid(prepared, core, config)
         timings["cv_grid"] = time.perf_counter() - start
         chosen = (*config.grid[grid.best_index], config.master_seed)
     return Selection(prepared=prepared, core=core, chosen=chosen, grid=grid, timings=timings)
 
 
-def run_experiment(config, data_path, chosen=None, jobs=None):
+def run_experiment(config, data_path, chosen=None):
     """One full run for one master seed.
 
     chosen: optional (KernelSpec, k, selection_seed) to reuse instead of
     running the CV grid; used by seed repetitions so selection happens once
-    per dataset. jobs is as in _resolve_jobs.
+    per dataset.
     """
-    jobs = _resolve_jobs(jobs)
-    sel = select(config, data_path, chosen, jobs)
+    sel = select(config, data_path, chosen)
     spec, k, selection_seed = sel.chosen
     start = time.perf_counter()
-    _, variant_results = run_final(sel.prepared, sel.core, spec, k, config, jobs)
+    _, variant_results = run_final(sel.prepared, sel.core, spec, k, config)
     sel.timings["final"] = time.perf_counter() - start
 
     return RunRecord(
@@ -502,16 +504,15 @@ def run_experiment(config, data_path, chosen=None, jobs=None):
     )
 
 
-def run_many(config, data_path, jobs=None):
+def run_many(config, data_path):
     """config.n_seeds repetitions. CV selection runs once, on the first seed;
     seeds 2..N run only from the selection it made, one seed per call of a
-    map over jobs processes (see _resolve_jobs)."""
-    jobs = _resolve_jobs(jobs)
-    first = run_experiment(config, data_path, jobs=jobs)
+    map, so each runs whole in one process."""
+    first = run_experiment(config, data_path)
     chosen = (first.chosen_spec, first.chosen_k, first.master_seed)
-    rest = [(replace(config, master_seed=config.master_seed + i), data_path, chosen, 1)
+    rest = [(replace(config, master_seed=config.master_seed + i), data_path, chosen)
             for i in range(1, config.n_seeds)]
-    return [first] + _map(run_experiment, rest, jobs)
+    return [first] + _map(run_experiment, rest)
 
 
 # ------------------------------------------------------------------ manifest

@@ -38,7 +38,7 @@ def fast_config(tmp_path):
     return str(path)
 
 
-def test_usage_errors_exit_1(capsys, tmp_path, heart_path, monkeypatch):
+def test_usage_errors_exit_1(capsys, tmp_path):
     assert cli.main(["run", "--dataset", "nope"]) == 1
     assert cli.main([]) == 1
     assert cli.main(["run", "--dataset", "heart", "--no-such-flag"]) == 1
@@ -97,19 +97,6 @@ def test_usage_errors_exit_1(capsys, tmp_path, heart_path, monkeypatch):
     for label in ("rbf_g1e", "rbf_g.", "poly_d2_c1-", "rbf_g1e999", "poly_d2_c1e999"):
         argv = ["cluster", "--dataset", "heart", "--kernel", label, "--k", "3"]
         assert cli.main(argv) == 1, label
-
-    # a process count below one, or no number, stops the run before any fit
-    def no_fit(*args, **kwargs):
-        raise AssertionError("gbm.fit ran before --jobs was checked")
-
-    monkeypatch.setattr(shapgate.gbm, "fit", no_fit)
-    for command in ("run", "cv", "cluster"):
-        for jobs in ("0", "-1", "x"):
-            argv = [command, "--dataset", "heart", "--data-path", heart_path,
-                    "--out", str(tmp_path / "out"), "--jobs", jobs]
-            assert cli.main(argv) == 1, argv
-            assert "jobs" in capsys.readouterr().err, argv
-    assert not (tmp_path / "out").exists()
     capsys.readouterr()
 
 
@@ -460,9 +447,10 @@ def test_cv_shows_error_of_cell_that_failed_after_a_fold(capsys, tmp_path, heart
     assert 0.0 <= float(fold_f1) <= 1.0
 
 
-def test_run_outputs_do_not_depend_on_jobs(capsys, tmp_path, heart_path, monkeypatch):
-    # three cells; the second, which --jobs 2 deals to the forked worker,
-    # fails on its one-hot width, which no final fit shares
+def test_run_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, heart_path,
+                                                        monkeypatch):
+    # three cells; the second, which two processes deal to the forked
+    # worker, fails on its one-hot width, which no final fit shares
     real_train = shapgate.network.train
 
     def diverge_at_k3(fit_batch, y_fit, val_batch, y_val, config):
@@ -479,32 +467,34 @@ def test_run_outputs_do_not_depend_on_jobs(capsys, tmp_path, heart_path, monkeyp
 
     monkeypatch.setattr(shapgate.network, "train", diverge_at_k3)
     monkeypatch.setattr(os, "fork", counted_fork)
-    # two usable cores, so --jobs 2 is not clamped on a one-core host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # one BLAS thread a process, so the usable cores set the process count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**FAST, "n_seeds": 3,
                                   "grid": [["linear", 2], ["rbf_g0.1", 3], ["poly_d2_c1", 4]]}))
     outputs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    for processes in (1, 2):
+        out = tmp_path / f"processes{processes}"
         forks.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=processes: set(range(n)),
+                            raising=False)
         assert cli.main(["run", "--dataset", "heart", "--data-path", heart_path,
-                         "--config", str(config), "--out", str(out), "--jobs", jobs]) == 0
+                         "--config", str(config), "--out", str(out)]) == 0
         # one fork per map: the grid, the first seed's variants and seeds 2..3
-        assert len(forks) == (0 if jobs == "1" else 3)
+        assert len(forks) == 3 * (processes - 1)
         manifest = json.loads((out / "manifest.json").read_text())
         for run in manifest["runs"]:
             del run["timings"]
             for variant in run["variants"].values():
                 del variant["train_seconds"]
-        outputs[jobs] = ({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, manifest)
+        outputs[processes] = ({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, manifest)
     assert multiprocessing.active_children() == []
-    csvs, manifest = outputs["1"]
+    csvs, manifest = outputs[1]
     assert len(csvs) == 5  # metrics table + one ROC curve per variant
     grid = manifest["runs"][0]["grid"]
     assert [c["error"] is None for c in grid] == [True, False, True]
     assert "non-finite" in grid[1]["error"]
-    assert outputs["2"] == outputs["1"]
+    assert outputs[2] == outputs[1]
     capsys.readouterr()
 
 

@@ -540,15 +540,40 @@ def test_child_seed_deterministic_and_tag_sensitive():
 
 # ------------------------------------------------------------ processes
 
-def test_jobs_above_the_usable_cores_run_in_this_process(diabetes_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("a worker was forked on a one-core host")
+@pytest.mark.parametrize("cores, blas_threads, processes", [
+    (1, "1", 1),     # one core
+    (2, None, 1),    # OpenBLAS's default: a thread per core
+    (2, "2", 1),
+    (8, "2", 4),
+    (8, "3", 2),
+    (8, "16", 1),
+    (8, "0", 1),     # not a thread count: the default
+    (8, "x", 1),
+])
+def test_processes_times_blas_threads_stay_within_the_cores(cores, blas_threads, processes,
+                                                            monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+    assert pipeline._processes() == processes
+    if blas_threads is not None:
+        # OpenBLAS reads its own variable first
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert pipeline._processes() == cores
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+def test_default_blas_threads_run_in_this_process(diabetes_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked beside a thread per core")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert pipeline._resolve_jobs(None) == pipeline._resolve_jobs(64) == 1
     # two grid cells and four variants, each of which two processes would share
-    record = pipeline.run_experiment(small_config(max_epochs=5), diabetes_path, jobs=64)
+    record = pipeline.run_experiment(small_config(max_epochs=5), diabetes_path)
     assert len(record.grid_cells) == 2 and len(record.variants) == 4
 
 
@@ -562,14 +587,16 @@ def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
             raise RuntimeError("not a shapgate error")
         return real_train(fit_batch, y_fit, val_batch, y_val, config)
 
+    # two processes: two usable cores, one BLAS thread each
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(network, "train", break_at_k3)
     config = small_config(max_epochs=5)
     with pytest.raises(RuntimeError, match="not a shapgate error") as raised:
-        pipeline.run_experiment(config, diabetes_path, jobs=2)
+        pipeline.run_experiment(config, diabetes_path)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"  # raised in the worker
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(network, "train", real_train)
-    record = pipeline.run_experiment(config, diabetes_path, jobs=2)
+    record = pipeline.run_experiment(config, diabetes_path)
     assert all(c.error is None for c in record.grid_cells)
     assert multiprocessing.active_children() == []
