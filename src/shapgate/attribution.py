@@ -49,9 +49,9 @@ _SMALL_BLOCK = _BLOCK_ELEMENTS >> 3  # smaller blocks are never split for paddin
 
 @dataclass
 class ShapMatrix:
-    values: np.ndarray  # (n, p), row-aligned with the source rows
+    values: np.ndarray  # (n, p), row-aligned with the explained rows
     base_value: float
-    feature_names: list[str] | None = None
+    feature_names: list[str] | None = None  # the CSV header; the pipeline attaches it
 
 
 @dataclass
@@ -66,7 +66,7 @@ class Background:
             raise DataError("background rows must be finite")
 
 
-def make_background(values, train_indices, seed=0):
+def make_background(values, train_indices, seed):
     """Training rows as the SHAP background, subsampled only above BACKGROUND_CAP."""
     train_indices = np.asarray(train_indices)
     if train_indices.size == 0:
@@ -275,25 +275,19 @@ def _check_inputs(ensemble, X, bg):
     return X
 
 
-def shap_matrix(ensemble, matrix, bg, rows=None):
-    """Interventional SHAP for the given rows, one attribution row per input row."""
-    values = getattr(matrix, "values", matrix)
-    feature_names = getattr(matrix, "feature_names", None)
-    X = _check_inputs(ensemble, values, bg)
-    if rows is not None:
-        X = X[np.asarray(rows)]
+def shap_matrix(ensemble, X, bg):
+    """Interventional SHAP of the rows of X, one attribution row per row."""
+    X = _check_inputs(ensemble, X, bg)
     phi = np.zeros_like(X)
     for tree in ensemble.trees:
         _accumulate_tree(phi, tree, X, bg.rows, ensemble.learning_rate)
     base_value = float(gbm.predict_margin_batch(ensemble, bg.rows).mean())
-    return ShapMatrix(values=phi, base_value=base_value, feature_names=feature_names)
+    return ShapMatrix(values=phi, base_value=base_value)
 
 
 def shap_matrix_to_csv(sm):
     """CSV dump: one row per observation, final column is the base value."""
-    p = sm.values.shape[1]
-    names = sm.feature_names if sm.feature_names else [f"f{i}" for i in range(p)]
-    header = ",".join(list(names) + ["base_value"])
+    header = ",".join(sm.feature_names + ["base_value"])
     lines = [header]
     for row in sm.values:
         lines.append(",".join(f"{v!r}" for v in row.tolist()) + f",{sm.base_value!r}")

@@ -77,7 +77,7 @@ def build_parser():
     sy.add_argument("--out", required=True,
                     help="output file, or an existing directory to receive "
                          "the dataset's published filename")
-    sy.add_argument("--seed", type=int, default=20240)
+    sy.add_argument("--seed", type=int, default=synth.STANDIN_SEED)
 
     return parser
 

@@ -170,11 +170,12 @@ class SplitSpec:
             raise DataError(f"n_folds must be >= 2, got {self.n_folds}")
 
 
-def resolve_data_path(dataset, explicit=None):
+def resolve_data_path(dataset, explicit):
     """Locate the on-disk file for a dataset.
 
-    Search order: the explicit path, then $SHAPGATE_DATA_DIR, then ./data,
-    both using the published UCI filename for the dataset.
+    Search order: the explicit path (None when there is none), then
+    $SHAPGATE_DATA_DIR, then ./data, both using the published UCI filename
+    for the dataset.
     """
     if dataset not in SCHEMAS:
         raise DataError(f"unknown dataset {dataset!r}; expected one of {sorted(SCHEMAS)}")

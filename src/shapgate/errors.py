@@ -20,12 +20,10 @@ class DataError(ShapgateError):
 class ParseError(DataError):
     """Delimited-text parse failure; carries file position."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line, column=None):
         self.line = line
         self.column = column
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
+        loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + loc)
 
 

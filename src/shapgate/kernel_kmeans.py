@@ -270,7 +270,7 @@ def _lloyd(K, k, start, max_iter, seen):
     return assignment, sizes, pair_sums, obj
 
 
-def fit(vectors, k, spec, seed=0):
+def fit(vectors, k, spec, seed):
     """Kernel k-means; returns the best ClusterModel over seeded restarts."""
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]

@@ -46,7 +46,6 @@ class NetConfig:
     max_epochs: int = 200
     patience: int = 20
     seed: int = 0
-    hidden_sizes: tuple = HIDDEN_SIZES
 
     def __post_init__(self):
         # a bool is no step size, though math.isfinite(True) holds
@@ -57,8 +56,6 @@ class NetConfig:
             raise DataError("batch_size and max_epochs must be positive")
         if self.patience < 0:
             raise DataError("patience must be >= 0")
-        if len(self.hidden_sizes) != 2:
-            raise DataError("exactly two hidden layers are supported")
 
 
 @dataclass
@@ -108,14 +105,14 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
-def init_params(p, config, n_clusters=0):
+def init_params(p, config, n_clusters):
     """Seeded uniform fan-in initialization; gate offset starts at zero.
 
     n_clusters is the width of the batch's one-hot block, 0 when it has none.
     """
     rng = np.random.default_rng([config.seed, 0xA7])
     width = p + n_clusters
-    h1, h2 = config.hidden_sizes
+    h1, h2 = HIDDEN_SIZES
 
     def dense(rng, fan_in, fan_out):
         bound = 1.0 / np.sqrt(fan_in)

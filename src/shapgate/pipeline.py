@@ -27,7 +27,6 @@ batch):
 
 import contextlib
 import copy
-import hashlib
 import json
 import math
 import os
@@ -253,12 +252,12 @@ def fit_core(prepared, config):
     bg = attribution.make_background(X, prepared.train_ids, seed=child_seed(config.master_seed, 1))
     # one pass over train and test rows: a row's attributions depend only on
     # that row, the ensemble and the background
-    shap = attribution.shap_matrix(
-        ens, prepared.matrix, bg, rows=np.concatenate([prepared.train_ids, prepared.test_ids]),
-    )
+    rows = np.concatenate([prepared.train_ids, prepared.test_ids])
+    shap = attribution.shap_matrix(ens, X[rows], bg)
+    names = prepared.matrix.feature_names
     n_train = prepared.train_ids.size
-    shap_train = replace(shap, values=shap.values[:n_train])
-    shap_test = replace(shap, values=shap.values[n_train:])
+    shap_train = replace(shap, values=shap.values[:n_train], feature_names=names)
+    shap_test = replace(shap, values=shap.values[n_train:], feature_names=names)
     return FittedCore(ensemble=ens, shap_train=shap_train, shap_test=shap_test)
 
 
@@ -365,6 +364,7 @@ class VariantResult:
 
 
 def _gate_hash(core):
+    import hashlib  # here, not at the top: only run_final hashes, and it loads OpenSSL
     digest = hashlib.sha256()
     digest.update(core.shap_train.values.tobytes())
     digest.update(core.shap_test.values.tobytes())
@@ -655,12 +655,12 @@ def _table_row(variant, medians, fmt, sep):
     return sep.join([variant, *cells])
 
 
-def _median_record(records, variant="full"):
+def _median_record(records):
     """The record whose full-variant F1 sits at the (lower) median."""
     scored = [
-        (r.variants[variant].report.f1, i)
+        (r.variants["full"].report.f1, i)
         for i, r in enumerate(records)
-        if variant in r.variants and r.variants[variant].report is not None
+        if "full" in r.variants and r.variants["full"].report is not None
     ]
     if not scored:
         return records[0]

@@ -18,6 +18,8 @@ import numpy as np
 from .dataset import SCHEMAS
 from .pipeline import atomic_open
 
+STANDIN_SEED = 20240  # the data seed of `shapgate synth` and of the test suite's stand-ins
+
 
 def _yes_no(rng, p):
     return "Yes" if rng.random() < p else "No"
@@ -186,7 +188,7 @@ def synth_credit(rng):
 _GENERATORS = {"diabetes": synth_diabetes, "heart": synth_heart, "credit": synth_credit}
 
 
-def write_synthetic(dataset, path, seed=20240):
+def write_synthetic(dataset, path, seed):
     """Write a stand-in file for `dataset` at `path`; returns the path.
 
     The file is written atomically: a failure leaves any previous file as it was."""

@@ -41,7 +41,7 @@ def dataset_files(tmp_path_factory):
             out[name] = (real_dir / fname, True)
         else:
             path = synth_dir / fname
-            synth.write_synthetic(name, path)
+            synth.write_synthetic(name, path, synth.STANDIN_SEED)
             out[name] = (path, False)
     return out
 

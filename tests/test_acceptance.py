@@ -251,18 +251,19 @@ def _max_relative_gradient_error(params, batch, y, step=1e-5):
     return worst
 
 
-def test_criterion_04_gradients_match_finite_differences():
+def test_criterion_04_gradients_match_finite_differences(monkeypatch):
     """Analytic gradients, gate offset included, agree with central differences.
 
     The draws cycle through every wiring the pipeline uses: gate fed by
     attribution rows, by one broadcast noise vector, or absent, each with and
     without the cluster one-hot block.
     """
+    monkeypatch.setattr(network, "HIDDEN_SIZES", (6, 4))  # small layers, quick differences
     rng = np.random.default_rng(404)
     for draw in range(N_GRAD_DRAWS):
         gate = ("shap", "random", "off")[draw % 3]
         cluster = draw % 2 == 0
-        config = network.NetConfig(seed=300 + draw, hidden_sizes=(6, 4))
+        config = network.NetConfig(seed=300 + draw)
         params = network.init_params(5, config, n_clusters=3 if cluster else 0)
         # move the gate offset away from its zero init so its gradient is live
         params.delta[...] = rng.normal(size=5)
@@ -287,7 +288,7 @@ def test_criterion_05_gated_network_collapses_to_plain_mlp():
     """A batch with no gate rows and no clusters is bit-identical to an independent MLP."""
     rng = np.random.default_rng(505)
     config = network.NetConfig(seed=41)
-    params = network.init_params(6, config)
+    params = network.init_params(6, config, n_clusters=0)
     X = rng.normal(size=(64, 6))
     ours = network.predict(params, network.NetBatch(x=X))
     z1 = X @ params.W1 + params.b1

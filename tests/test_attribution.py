@@ -196,10 +196,10 @@ def test_matrix_equals_concatenation_over_any_row_partition(case):
     # pipeline.fit_core runs one pass over train and test rows and slices it,
     # which relies on each row's attributions depending on that row alone
     ens, X, bg, rows, part = case
-    whole = attribution.shap_matrix(ens, X, bg, rows=rows)
+    whole = attribution.shap_matrix(ens, X[rows], bg)
     pieces = np.empty_like(whole.values)
     for label in np.unique(part):
-        sm = attribution.shap_matrix(ens, X, bg, rows=rows[part == label])
+        sm = attribution.shap_matrix(ens, X[rows[part == label]], bg)
         pieces[part == label] = sm.values
         assert sm.base_value == whole.base_value
     assert pieces.tobytes() == whole.values.tobytes()
@@ -338,23 +338,24 @@ def test_non_finite_inputs_rejected(bad):
     with pytest.raises(DataError, match="finite"):
         attribution.Background(rows=background)
     with pytest.raises(DataError, match="finite"):
-        attribution.make_background(background, np.arange(10))
+        attribution.make_background(background, np.arange(10), seed=0)
 
 
 def test_depth_7_peak_memory(tmp_path):
     # masks are built per leaf chunk and blocks stay within the element
     # budget; the per-leaf loop peaked at 2.1 MB here, and one block per
     # tree padded to its largest mask counts at 47 MB
-    path = synth.write_synthetic("heart", tmp_path / dataset.SCHEMAS["heart"].default_filename)
+    path = synth.write_synthetic("heart", tmp_path / dataset.SCHEMAS["heart"].default_filename,
+                                 synth.STANDIN_SEED)
     config = pipeline.ExperimentConfig(dataset="heart", master_seed=0)
     prepared = pipeline.prepare(config, path)
     X, y = prepared.matrix.values, prepared.matrix.labels
     ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], gbm.GbmConfig(n_trees=20, max_depth=7))
     bg = attribution.make_background(X, prepared.train_ids, seed=pipeline.child_seed(0, 1))
-    rows = np.concatenate([prepared.train_ids, prepared.test_ids])
+    rows = X[np.concatenate([prepared.train_ids, prepared.test_ids])]
     tracemalloc.start()
     try:
-        attribution.shap_matrix(ens, prepared.matrix, bg, rows=rows)
+        attribution.shap_matrix(ens, rows, bg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,7 +393,7 @@ def test_make_background_cap_and_determinism():
     bg_full = attribution.make_background(values, idx[:50], seed=4)
     assert np.array_equal(bg_full.rows, values[:50])
     with pytest.raises(DataError):
-        attribution.make_background(values, np.array([], dtype=int))
+        attribution.make_background(values, np.array([], dtype=int), seed=4)
 
 
 def test_oracle_feature_count_guard():

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, subcommand outputs, config precedence."""
 
+import copy
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import shapgate
@@ -335,6 +336,74 @@ def test_report_of_a_corrupted_manifest_exits_2_or_round_trips(path, value):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+# a corrupted value: a wrong type, a bool, NaN, +-Infinity, zero, a negative
+# number or an empty list
+_CONFIG_CORRUPTIONS = ("x", None, {}, 1.5, True, False, NAN, INF, -INF, 0, -1, [])
+_BAD_KERNEL_LABELS = ("sigmoid", "rbf_g0", "rbf_g-1", "rbf_ginf", "rbf_g1e999", "poly_d0_c1",
+                      "poly_d2_cnan")
+
+
+@st.composite
+def tiny_run_configs(draw):
+    """A valid config of a tiny heart run: 10 trees, one grid cell, 2 epochs,
+    one seed."""
+    return {
+        "master_seed": draw(st.integers(0, 3)),
+        "n_seeds": 1,
+        "holdout_fraction": draw(st.sampled_from([0.2, 0.3])),
+        "n_folds": draw(st.integers(2, 3)),
+        "gbm": {"n_trees": 10, "learning_rate": draw(st.sampled_from([0.1, 0.3])),
+                "max_depth": draw(st.integers(1, 3)), "min_samples_leaf": draw(st.integers(1, 5))},
+        "grid": [[draw(st.sampled_from(["linear", "poly_d2_c1", "rbf_g0.1"])), draw(st.integers(2, 3))]],
+        "step_size": draw(st.sampled_from([1e-3, 1e-2])),
+        "batch_size": draw(st.integers(16, 64)),
+        "max_epochs": 2,
+        "patience": draw(st.integers(0, 2)),
+        "variants": draw(st.lists(st.sampled_from(pipeline.VARIANTS), min_size=1, max_size=4,
+                                  unique=True)),
+    }
+
+
+def _with_one_corruption(config):
+    """The config, then a copy per single corruption: each corrupted value at
+    each path, each variant repeated and each bad kernel label."""
+    yield config
+    for path in _paths(config):
+        for value in _CONFIG_CORRUPTIONS:
+            bad = copy.deepcopy(config)
+            _set_at(bad, path, value)
+            yield bad
+    for variant in config["variants"]:
+        yield {**config, "variants": [*config["variants"], variant]}
+    for label in _BAD_KERNEL_LABELS:
+        yield {**config, "grid": [[label, config["grid"][0][1]]]}
+
+
+# no shrink phase: the failing run's config is in the assertion message, and
+# each shrink step would sweep the corruptions again
+@pytest.mark.slow
+@settings(max_examples=5, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(config=tiny_run_configs())
+def test_every_usage_error_of_a_config_comes_before_any_fit(heart_path, config):
+    # each config with at most one corruption runs with a documented exit
+    # code, never a traceback, and an exit 1 comes before the first gbm.fit.
+    # Every corruption is tried on each draw: a few hundred random ones would
+    # miss a given (path, value) pair about a third of the time
+    calls = []
+    fit = shapgate.gbm.fit
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shapgate.gbm, "fit", lambda *args: calls.append(args) or fit(*args))
+        path = Path(tmp, "config.json")
+        for run in _with_one_corruption(config):
+            calls.clear()
+            path.write_text(json.dumps(run))
+            code = cli.main(["run", "--dataset", "heart", "--data-path", heart_path,
+                             "--config", str(path), "--out", str(Path(tmp, "out"))])
+            assert code in (0, 1, 2, 3), run
+            if code == 1:
+                assert calls == [], run
+
+
 def test_missing_data_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "nowhere.csv")
     assert cli.main(["run", "--dataset", "heart", "--data-path", missing]) == 2
@@ -375,7 +444,7 @@ def test_synth_writes_parseable_file(capsys, tmp_path):
 
 def test_synth_failure_leaves_existing_file_untouched(monkeypatch, tmp_path):
     out = tmp_path / "processed.cleveland.data"
-    synth.write_synthetic("heart", out)
+    synth.write_synthetic("heart", out, synth.STANDIN_SEED)
     before = out.read_bytes()
     real = synth._GENERATORS["heart"]
 

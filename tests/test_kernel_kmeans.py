@@ -290,7 +290,7 @@ def test_assign_fixed_point_and_center_query():
 
 def test_assign_exact_tie_goes_to_cluster_zero():
     X = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    model = kk.fit(X, k=2, spec=LINEAR)
+    model = kk.fit(X, k=2, spec=LINEAR, seed=0)
     assert kk.assign_batch(model, np.array([[0.0, 0.0]]))[0] == 0
 
 
@@ -317,9 +317,9 @@ def test_fit_determinism_and_restarts():
 def test_fit_validation_errors():
     X = np.zeros((5, 2))
     with pytest.raises(DataError):
-        kk.fit(X, k=6, spec=LINEAR)
+        kk.fit(X, k=6, spec=LINEAR, seed=0)
     with pytest.raises(DataError):
-        kk.fit(X, k=0, spec=LINEAR)
+        kk.fit(X, k=0, spec=LINEAR, seed=0)
 
 
 @pytest.mark.parametrize("label", ["poly_d400_c1", "poly_d2_c1e200"])

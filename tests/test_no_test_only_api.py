@@ -12,6 +12,16 @@ the manifest writer reads through getattr. A `self.<name>` read inside the
 methods of class C reads only C's member <name>, and one in C's own __init__
 or __post_init__ reads nothing. Every other read is matched by name alone:
 the receiver's class is not known there.
+
+Every defaulted parameter of a package function or method must be left out
+by some call there: a default that every call overrides is one only tests
+rely on, so the caller should pass the value. A call `<module>.f(...)`
+through a name bound to a package module, or a bare `f(...)` of the file's
+own or imported function, counts for that module's `f`; a call
+`<object>.f(...)` counts for every method named f, and a call of a class
+for its __init__. A function also used as a value (handed to `_map`, put in
+a table) and a call with `*args` or `**kwargs` count as leaving out every
+default, and a function that no call reaches is left to the first guard.
 """
 
 import ast
@@ -140,3 +150,111 @@ def test_every_class_field_has_a_non_test_reader():
     assert not dead, f"class members in src/shapgate that no non-test code reads: {dead}"
     gone = sorted(RESERVED_FOR_MANIFEST - unread)
     assert not gone, f"reserved fields now read or deleted; drop them from the reserved set: {gone}"
+
+
+def _module_names(tree, module, modules):
+    """What a file's names stand for: {name: module} for each name bound to a
+    package module, and {name: (module, name)} for each package function or
+    class it defines or imports by name."""
+    aliases, functions = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 1:
+                source = f"shapgate.{source}".rstrip(".")
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if source == "shapgate" and alias.name in modules:
+                    aliases[bound] = alias.name
+                elif source.startswith("shapgate."):
+                    functions[bound] = (source.split(".", 1)[1], alias.name)
+    functions.update({stmt.name: (module, stmt.name) for stmt in tree.body
+                      if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))})
+    return aliases, functions
+
+
+def _target(node, module, aliases, functions):
+    """The definition key a called or loaded name refers to: (module, name),
+    or (None, name) for a method of any class."""
+    if isinstance(node, ast.Name):
+        return functions.get(node.id, (module, node.id))
+    if isinstance(node.value, ast.Name) and node.value.id in aliases:
+        return aliases[node.value.id], node.attr
+    return None, node.attr
+
+
+def _defaulted(fn, method):
+    """(position, name) of each defaulted parameter; position counts the
+    positional arguments a call passes (a method's self excluded), None for a
+    keyword-only one."""
+    positional = (fn.args.posonlyargs + fn.args.args)[1 if method else 0:]
+    first = len(positional) - len(fn.args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def _package_defaults(trees):
+    """{definition key: [(function label, position, name)]} of every defaulted
+    parameter in src/shapgate; a class's __init__ is keyed by the class, and
+    the other dunders, which Python calls itself, are left out."""
+    out = {}
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        module = path.stem
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in _methods(cls)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            if cls is None:
+                key, label = (module, fn.name), fn.name
+            elif fn.name == "__init__":
+                key, label = (module, cls), cls
+            elif fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            else:
+                key, label = (None, fn.name), f"{cls}.{fn.name}"
+            out.setdefault(key, []).extend(
+                (f"{module}.{label}", *param) for param in _defaulted(fn, cls is not None))
+    return out
+
+
+def _calls_and_values(trees):
+    """The calls to each definition key, and the keys also loaded as values.
+    ast.walk visits a call before its callee, so a callee is not a value."""
+    modules = {path.stem for path in trees if path.parent == PACKAGE}
+    calls, values = {}, set()
+    for path, tree in trees.items():
+        module = path.stem if path.parent == PACKAGE else None
+        aliases, functions = _module_names(tree, module, modules)
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callees.add(id(node.func))
+                calls.setdefault(_target(node.func, module, aliases, functions), []).append(node)
+            elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in callees):
+                values.add(_target(node, module, aliases, functions))
+    return calls, values
+
+
+def _passes(call, position, name):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return False  # *args or **kwargs: what it passes is not known here
+    return (position is not None and len(call.args) > position) or any(
+        kw.arg == name for kw in call.keywords)
+
+
+def test_every_parameter_default_is_used_by_a_non_test_call():
+    trees = _sources()
+    calls, values = _calls_and_values(trees)
+    overridden = sorted(
+        f"{label}({name}=...)"
+        for key, params in _package_defaults(trees).items() if key not in values
+        for label, position, name in params
+        if calls.get(key) and all(_passes(call, position, name) for call in calls[key]))
+    assert not overridden, ("defaults in src/shapgate that every non-test call overrides; "
+                            f"pass the value and drop the default: {overridden}")
