@@ -107,7 +107,8 @@ _CONFIG_KEYS = {"gbm" if f.name == "gbm_config" else f.name
 
 
 def load_config(args):
-    """ExperimentConfig from defaults, then the JSON file, then explicit flags."""
+    """ExperimentConfig from defaults, then the JSON file, then explicit flags;
+    the ExperimentConfig checks every value."""
     settings = {}
     if args.config is not None:
         try:
@@ -139,16 +140,13 @@ def load_config(args):
             raise UsageError('config key "gbm" must be an object of GBM settings')
         try:
             settings["gbm_config"] = gbm.GbmConfig(**settings.pop("gbm"))
-        except (TypeError, DataError) as e:
+        except TypeError as e:  # a key GbmConfig does not name
             raise UsageError(f"bad GBM settings: {e}") from e
     if "grid" in settings:
         settings["grid"] = _grid_from_json(settings["grid"])
     if "variants" in settings:
         settings["variants"] = tuple(settings["variants"])
-    try:
-        return pipeline.ExperimentConfig(**settings)
-    except TypeError as e:
-        raise UsageError(f"bad experiment settings: {e}") from e
+    return pipeline.ExperimentConfig(**settings)
 
 
 def _print_record(record):

@@ -150,24 +150,14 @@ class RawTable:
 class FeatureMatrix:
     values: np.ndarray  # (n, p) float64
     labels: np.ndarray  # (n,) int64
-    column_meta: list[tuple[str, str]]  # (source column, "scaled" or "level=<v>")
-
-    @property
-    def feature_names(self):
-        return [f"{src}" if tag == "scaled" else f"{src}={tag[6:]}" for src, tag in self.column_meta]
+    feature_names: list[str]  # a scaled column's name, or "<column>=<level>" per level
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SplitSpec:
     holdout_fraction: float = 0.2
-    n_folds: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise DataError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
-        if self.n_folds < 2:
-            raise DataError(f"n_folds must be >= 2, got {self.n_folds}")
+    n_folds: int
+    seed: int
 
 
 def resolve_data_path(dataset, explicit):
@@ -315,7 +305,7 @@ def fit_transform(table, training_row_ids):
 
     n = table.n_rows
     blocks = []
-    column_meta = []
+    feature_names = []
     for col in range(table.n_columns):
         name = table.column_names[col]
         cells = [r[col] for r in table.rows]
@@ -329,7 +319,7 @@ def fit_transform(table, training_row_ids):
             if std == 0.0:
                 raise DataError(f"continuous column {name!r} has zero variance on training rows")
             blocks.append(((vals - mean) / std)[:, None])
-            column_meta.append((name, "scaled"))
+            feature_names.append(name)
         else:
             levels = []
             for c in cells:
@@ -340,7 +330,7 @@ def fit_transform(table, training_row_ids):
             for i, c in enumerate(cells):
                 onehot[i, level_pos[c]] = 1.0
             blocks.append(onehot)
-            column_meta.extend((name, f"level={lv}") for lv in levels)
+            feature_names.extend(f"{name}={lv}" for lv in levels)
 
     values = np.hstack(blocks)
     if not np.all(np.isfinite(values)):
@@ -348,7 +338,7 @@ def fit_transform(table, training_row_ids):
     return FeatureMatrix(
         values=values,
         labels=np.asarray(table.labels, dtype=np.int64),
-        column_meta=column_meta,
+        feature_names=feature_names,
     )
 
 

@@ -23,7 +23,6 @@ trees a level per step and adds the trees in ascending order, as a walk would.
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +39,6 @@ class GbmConfig:
     learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 1
-
-    def __post_init__(self):
-        if self.n_trees < 0:
-            raise DataError("n_trees must be >= 0")
-        # a bool is no rate, though math.isfinite(True) holds
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not (math.isfinite(rate) and rate > 0):
-            raise DataError(f"learning_rate must be positive and finite, got {rate!r}")
-        if self.max_depth <= 0 or self.min_samples_leaf <= 0:
-            raise DataError("max_depth and min_samples_leaf must be positive")
 
 
 @dataclass

@@ -41,21 +41,11 @@ PARAM_GROUPS = ("delta", "W1", "b1", "W2", "b2", "W3", "b3")
 
 @dataclass(frozen=True)
 class NetConfig:
-    step_size: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 200
-    patience: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        # a bool is no step size, though math.isfinite(True) holds
-        step = self.step_size
-        if isinstance(step, bool) or not (math.isfinite(step) and step > 0):
-            raise DataError(f"step_size must be positive and finite, got {step!r}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise DataError("batch_size and max_epochs must be positive")
-        if self.patience < 0:
-            raise DataError("patience must be >= 0")
+    step_size: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    seed: int
 
 
 @dataclass
@@ -72,8 +62,8 @@ class NetParams:
 @dataclass
 class NetBatch:
     x: np.ndarray  # (n, p) gated-feature source
-    shap: np.ndarray | None = None  # (n, p) gate input rows; None: no gate
-    onehot: np.ndarray | None = None  # (n, k) cluster one-hot; None: no block
+    shap: np.ndarray | None  # (n, p) gate input rows; None: no gate
+    onehot: np.ndarray | None  # (n, k) cluster one-hot; None: no block
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
@@ -94,7 +84,7 @@ class NetBatch:
         """Row subset (an index array or a slice). The rows come from this
         already-checked batch, so the subset is built without running the
         validation again."""
-        sub = object.__new__(NetBatch)
+        sub = object.__new__(type(self))
         sub.x = self.x[idx]
         sub.shap = None if self.shap is None else self.shap[idx]
         sub.onehot = None if self.onehot is None else self.onehot[idx]

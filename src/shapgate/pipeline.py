@@ -75,8 +75,35 @@ def default_grid():
     return [(spec, k) for spec in kernels for k in (2, 3, 4, 5, 6)]
 
 
+def _count(name, value, least):
+    """An integer setting as a Python int, which the JSON manifest takes and
+    summary.md prints plainly: a float would be truncated or crash mid-run,
+    and a bool is no number. least=None leaves the range to the caller."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _real(name, value, high):
+    """A real setting, kept as given once checked to lie in (0, high) as a
+    float: NaN and the infinities fail, and a bool is no number, though
+    True > 0 holds."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        with contextlib.suppress(OverflowError):
+            if 0.0 < float(value) < high:
+                return value
+    raise UsageError(f"{name} must be a number in (0, {high}), got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
+    """Every setting of an experiment and its default. Constructing one is
+    the one check of the settings: a bad value raises UsageError here, so a
+    run stops before any fitting, and the configs built from it (GbmConfig,
+    NetConfig, SplitSpec) carry the values unchecked."""
+
     dataset: str
     master_seed: int = 0
     n_seeds: int = 10
@@ -91,27 +118,33 @@ class ExperimentConfig:
     variants: tuple = VARIANTS
 
     def __post_init__(self):
-        if self.dataset not in dataset.SCHEMAS:
+        if not isinstance(self.dataset, str) or self.dataset not in dataset.SCHEMAS:
             raise UsageError(f"unknown dataset {self.dataset!r}")
-        # integer settings must be integers: a float would be truncated or
-        # crash mid-run, and a bool is no number. They are kept as Python
-        # ints, which the JSON manifest takes and summary.md prints plainly
-        def count(name, value):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-            return int(value)
-
-        for name in ("master_seed", "n_seeds", "n_folds", "batch_size", "max_epochs", "patience"):
-            setattr(self, name, count(name, getattr(self, name)))
-        self.gbm_config = replace(self.gbm_config, **{
-            name: count(f"gbm {name}", getattr(self.gbm_config, name))
-            for name in ("n_trees", "max_depth", "min_samples_leaf")})
-        self.grid = [(spec, count("grid k", k)) for spec, k in self.grid]
-        if self.master_seed < 0:
-            raise UsageError("master_seed must be >= 0")
-        if self.n_seeds < 1:
-            raise UsageError("n_seeds must be >= 1")
-        unknown = [v for v in self.variants if v not in VARIANT_WIRING]
+        for name, least in (("master_seed", 0), ("n_seeds", 1), ("n_folds", 2),
+                            ("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            setattr(self, name, _count(name, getattr(self, name), least))
+        self.holdout_fraction = _real("holdout_fraction", self.holdout_fraction, 1.0)
+        self.step_size = _real("step_size", self.step_size, math.inf)
+        if not isinstance(self.gbm_config, gbm.GbmConfig):
+            raise UsageError(f"gbm_config must be a GbmConfig, got {self.gbm_config!r}")
+        # n_trees >= 1: gbm.fit takes zero trees, but their attributions are
+        # all zero, so every gate would be a constant one half
+        self.gbm_config = replace(
+            self.gbm_config,
+            learning_rate=_real("gbm learning_rate", self.gbm_config.learning_rate, math.inf),
+            **{name: _count(f"gbm {name}", getattr(self.gbm_config, name), 1)
+               for name in ("n_trees", "max_depth", "min_samples_leaf")})
+        # k is checked against the fit folds' rows in select, once the data is read
+        if not isinstance(self.grid, (list, tuple)) or not all(
+                isinstance(cell, (list, tuple)) and len(cell) == 2
+                and isinstance(cell[0], kernel_kmeans.KernelSpec) for cell in self.grid):
+            raise UsageError(f"grid must be a list of (KernelSpec, k) cells, got {self.grid!r}")
+        if not self.grid:
+            raise UsageError("grid must hold at least one [kernel_label, k] cell")
+        self.grid = [(spec, _count("grid k", k, None)) for spec, k in self.grid]
+        if not isinstance(self.variants, (list, tuple)):
+            raise UsageError(f"variants must be a list of names, got {self.variants!r}")
+        unknown = [v for v in self.variants if not isinstance(v, str) or v not in VARIANT_WIRING]
         if unknown:
             raise UsageError(f"unknown variants: {unknown}")
         # an empty list trains nothing, and a repeated name trains twice to
@@ -119,19 +152,6 @@ class ExperimentConfig:
         if not self.variants or len(set(self.variants)) != len(self.variants):
             raise UsageError(f"variants must name each variant at most once and not be empty, "
                              f"got {list(self.variants)}")
-        if not self.grid:
-            raise UsageError("grid must hold at least one [kernel_label, k] cell")
-        # gbm.fit accepts zero trees, but their attributions are all zero, so
-        # every gate would be a constant one half
-        if self.gbm_config.n_trees < 1:
-            raise UsageError("gbm n_trees must be >= 1 for an experiment")
-        # build the settings the fits use now, so a bad value stops the run
-        # before any fitting rather than failing every grid cell later
-        try:
-            self.net_config(seed=0)
-            dataset.SplitSpec(holdout_fraction=self.holdout_fraction, n_folds=self.n_folds)
-        except DataError as e:
-            raise UsageError(str(e)) from e
 
     def net_config(self, seed):
         return network.NetConfig(

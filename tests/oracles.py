@@ -33,19 +33,32 @@ The rank-AUC-against-trapezoid-AUC check stays in the package itself:
 metrics.roc_auc raises when the two routes disagree.
 
 fresh_loss_and_grads is no oracle: it calls network.loss_and_grads with a
-new gradient dict, which network.train allocates once and reuses.
+new gradient dict, which network.train allocates once and reuses. Nor are
+net_config and plain_batch, which build what the pipeline passes in full:
+the network settings of an ExperimentConfig, and a batch with no gate rows
+and no cluster block.
 """
 
 import math
 
 import numpy as np
 
-from shapgate import gbm, network
+from shapgate import gbm, network, pipeline
 from shapgate import kernel_kmeans as kk
 from shapgate.attribution import _CM, _CP, MAX_PATH_FEATURES, ShapMatrix, _check_inputs
 from shapgate.errors import DataError
 
 ORACLE_MAX_FEATURES = 15
+
+
+def net_config(seed=0, **settings):
+    """The NetConfig of network seed `seed` under an ExperimentConfig with the
+    given settings and the defaults for the rest."""
+    return pipeline.ExperimentConfig(dataset="heart", **settings).net_config(seed)
+
+
+def plain_batch(x):
+    return network.NetBatch(x=x, shap=None, onehot=None)
 
 
 def fresh_loss_and_grads(params, batch, y):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exact_shapley_oracle, fresh_loss_and_grads
+from oracles import exact_shapley_oracle, fresh_loss_and_grads, net_config, plain_batch
 from shapgate import attribution, gbm, network, pipeline
 from shapgate import kernel_kmeans as kk
 
@@ -263,7 +263,7 @@ def test_criterion_04_gradients_match_finite_differences(monkeypatch):
     for draw in range(N_GRAD_DRAWS):
         gate = ("shap", "random", "off")[draw % 3]
         cluster = draw % 2 == 0
-        config = network.NetConfig(seed=300 + draw)
+        config = net_config(seed=300 + draw)
         params = network.init_params(5, config, n_clusters=3 if cluster else 0)
         # move the gate offset away from its zero init so its gradient is live
         params.delta[...] = rng.normal(size=5)
@@ -287,10 +287,10 @@ def test_criterion_04_gradients_match_finite_differences(monkeypatch):
 def test_criterion_05_gated_network_collapses_to_plain_mlp():
     """A batch with no gate rows and no clusters is bit-identical to an independent MLP."""
     rng = np.random.default_rng(505)
-    config = network.NetConfig(seed=41)
+    config = net_config(seed=41)
     params = network.init_params(6, config, n_clusters=0)
     X = rng.normal(size=(64, 6))
-    ours = network.predict(params, network.NetBatch(x=X))
+    ours = network.predict(params, plain_batch(X))
     z1 = X @ params.W1 + params.b1
     r1 = np.maximum(z1, 0.0)
     z2 = r1 @ params.W2 + params.b2

@@ -119,7 +119,7 @@ def test_two_level_onehot():
     fm = ds.fit_transform(t, [0, 1, 2])
     assert fm.values.shape == (3, 2)
     np.testing.assert_array_equal(fm.values.sum(axis=1), [1, 1, 1])
-    assert fm.column_meta == [("c0", "level=yes"), ("c0", "level=no")]
+    assert fm.feature_names == ["c0=yes", "c0=no"]
 
 
 def test_test_row_at_training_mean_scales_to_zero():
@@ -146,7 +146,9 @@ def test_roundtrip_train_mean_std(tables):
         n = table.n_rows
         train = list(range(0, n, 2))
         fm = ds.fit_transform(table, train)
-        cont_cols = [j for j, (_, tag) in enumerate(fm.column_meta) if tag == "scaled"]
+        continuous = {name for name, kind in zip(table.column_names, table.column_kinds)
+                      if kind == ds.CONTINUOUS}
+        cont_cols = [j for j, name in enumerate(fm.feature_names) if name in continuous]
         sub = fm.values[np.asarray(train)][:, cont_cols]
         np.testing.assert_allclose(sub.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(sub.std(axis=0), 1.0, atol=1e-9)
@@ -156,8 +158,9 @@ def test_onehot_groups_sum_to_one(tables):
     table = tables["credit"]
     fm = ds.fit_transform(table, range(table.n_rows))
     groups = {}
-    for j, (src, tag) in enumerate(fm.column_meta):
-        if tag.startswith("level="):
+    for j, name in enumerate(fm.feature_names):
+        src, level, _ = name.partition("=")
+        if level:
             groups.setdefault(src, []).append(j)
     for cols in groups.values():
         np.testing.assert_array_equal(fm.values[:, cols].sum(axis=1), 1.0)
@@ -169,14 +172,14 @@ def _matrix_with_labels(labels):
     labels = np.asarray(labels)
     vals = np.arange(labels.size, dtype=np.float64)[:, None]
     return ds.FeatureMatrix(values=vals, labels=labels.astype(np.int64),
-                            column_meta=[("x", "scaled")])
+                            feature_names=["x"])
 
 
 def test_holdout_sizes_at_303():
     rng = np.random.default_rng(1)
     labels = rng.permutation(np.array([1] * 139 + [0] * 164))
     fm = _matrix_with_labels(labels)
-    train, test = ds.split_holdout(fm, ds.SplitSpec(seed=3))
+    train, test = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=3))
     assert test.size == 61 and train.size == 242
     # class ratio preserved within one row
     global_pos = labels.sum() / labels.size
@@ -193,32 +196,32 @@ def test_holdout_minimum_stratification():
 
 def test_holdout_determinism_and_partition():
     fm = _matrix_with_labels([0, 1] * 30)
-    a = ds.split_holdout(fm, ds.SplitSpec(seed=7))
-    b = ds.split_holdout(fm, ds.SplitSpec(seed=7))
+    a = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=7))
+    b = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=7))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
     merged = np.sort(np.concatenate(a))
     np.testing.assert_array_equal(merged, np.arange(60))
-    c = ds.split_holdout(fm, ds.SplitSpec(seed=8))
+    c = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=8))
     assert not np.array_equal(a[1], c[1])
 
 
 def test_tiny_class_rejected():
     fm = _matrix_with_labels([0] * 20 + [1] * 4)
     with pytest.raises(DataError, match="n_folds"):
-        ds.split_holdout(fm, ds.SplitSpec(n_folds=5))
+        ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=0))
 
 
 @pytest.mark.parametrize("fraction", [0.001, 1 / 60], ids=["no_test_row", "one_test_row"])
 def test_holdout_without_every_class_rejected(fraction):
     fm = _matrix_with_labels([0, 1] * 30)
     with pytest.raises(DataError, match="no test row"):
-        ds.split_holdout(fm, ds.SplitSpec(holdout_fraction=fraction))
+        ds.split_holdout(fm, ds.SplitSpec(holdout_fraction=fraction, n_folds=5, seed=0))
 
 
 def test_kfold_exact_divisibility():
     labels = np.array([0, 1] * 50)
-    folds = ds.stratified_kfold(np.arange(100), labels, ds.SplitSpec(seed=0))
+    folds = ds.stratified_kfold(np.arange(100), labels, ds.SplitSpec(n_folds=5, seed=0))
     for fit, val in folds:
         assert val.size == 20
         assert labels[val].sum() == 10
@@ -228,7 +231,7 @@ def test_kfold_exact_divisibility():
 def test_kfold_partition_property():
     labels = np.asarray([0] * 41 + [1] * 36)
     train = np.arange(77)
-    folds = ds.stratified_kfold(train, labels, ds.SplitSpec(seed=5))
+    folds = ds.stratified_kfold(train, labels, ds.SplitSpec(n_folds=5, seed=5))
     vals = [v for _, v in folds]
     assert sum(v.size for v in vals) == 77
     np.testing.assert_array_equal(np.sort(np.concatenate(vals)), train)
@@ -242,7 +245,7 @@ def test_kfold_partition_property():
 def test_kfold_242_fold_sizes():
     rng = np.random.default_rng(2)
     labels = rng.permutation(np.array([1] * 111 + [0] * 131))
-    folds = ds.stratified_kfold(np.arange(242), labels, ds.SplitSpec(seed=11))
+    folds = ds.stratified_kfold(np.arange(242), labels, ds.SplitSpec(n_folds=5, seed=11))
     sizes = sorted(v.size for _, v in folds)
     assert set(sizes) <= {48, 49}
     # class ratio per fold within one observation of the global ratio
@@ -253,8 +256,8 @@ def test_kfold_242_fold_sizes():
 
 def test_kfold_determinism():
     labels = np.asarray([0, 1] * 40)
-    a = ds.stratified_kfold(np.arange(80), labels, ds.SplitSpec(seed=4))
-    b = ds.stratified_kfold(np.arange(80), labels, ds.SplitSpec(seed=4))
+    a = ds.stratified_kfold(np.arange(80), labels, ds.SplitSpec(n_folds=5, seed=4))
+    b = ds.stratified_kfold(np.arange(80), labels, ds.SplitSpec(n_folds=5, seed=4))
     for (fa, va), (fb, vb) in zip(a, b):
         np.testing.assert_array_equal(fa, fb)
         np.testing.assert_array_equal(va, vb)

@@ -178,8 +178,6 @@ def test_shape_errors():
         gbm.fit(X, np.zeros(4), gbm.GbmConfig())  # single class
     with pytest.raises(DataError, match="no training rows"):
         gbm.fit(np.zeros((0, 1)), np.zeros(0), gbm.GbmConfig())
-    with pytest.raises(DataError):
-        gbm.GbmConfig(learning_rate=0.0)
     for bad in (np.nan, np.inf, -np.inf):
         X_bad = X.astype(np.float64)
         X_bad[3, 0] = bad

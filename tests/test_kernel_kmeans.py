@@ -376,6 +376,31 @@ def test_fit_matches_the_restart_loop(case):
 
 
 @st.composite
+def assign_cases(draw):
+    """Small problems over a kernel of each kind; on some draws the rows are
+    rounded to one decimal, so that rows repeat and distances tie."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 4))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, p))
+    if draw(st.booleans()):
+        X = np.round(X, 1)
+    k = draw(st.integers(1, min(n, 6)))
+    return X, k, kk.spec_from_label(draw(st.sampled_from(KERNEL_LABELS))), draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(assign_cases())
+def test_assign_batch_gives_the_fit_assignment_on_the_training_rows(case):
+    # assign_batch takes each diagonal from kernel_diag's closed form and fit
+    # from its kernel matrix, which may differ in the last bits. The rows go
+    # in as a copy, as the pipeline's out-of-sample rows do: the same array
+    # object would take the symmetric A @ A.T product that fit's matrix takes
+    X, k, spec, seed = case
+    model = kk.fit(X, k, spec, seed)
+    assert np.array_equal(kk.assign_batch(model, X.copy()), model.assignment)
+
+
+@st.composite
 def lloyd_cases(draw):
     """A fit case's kernel with a start that is greedy-seeded, uniform, or
     leaves cluster k-1 empty, so that the repair and the masked distances run;

@@ -19,9 +19,12 @@ rely on, so the caller should pass the value. A call `<module>.f(...)`
 through a name bound to a package module, or a bare `f(...)` of the file's
 own or imported function, counts for that module's `f`; a call
 `<object>.f(...)` counts for every method named f, and a call of a class
-for its __init__. A function also used as a value (handed to `_map`, put in
-a table) and a call with `*args` or `**kwargs` count as leaving out every
-default, and a function that no call reaches is left to the first guard.
+for its __init__. A dataclass field's default is a parameter of the class
+call; a call of a subclass counts for the fields it inherits. A function or
+class also used as a value (handed to `_map`, put in a table, given as a
+default_factory; a base class is no such use) and a call with `*args` or
+`**kwargs` count as leaving out every default, and a function that no call
+reaches is left to the first guard.
 """
 
 import ast
@@ -193,11 +196,60 @@ def _defaulted(fn, method):
         (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
 
 
-def _package_defaults(trees):
-    """{definition key: [(function label, position, name)]} of every defaulted
-    parameter in src/shapgate; a class's __init__ is keyed by the class, and
-    the other dunders, which Python calls itself, are left out."""
+def _dataclass_kw_only(cls):
+    """None unless cls is a dataclass, else whether its own fields are
+    keyword-only."""
+    for dec in cls.decorator_list:
+        call = dec if isinstance(dec, ast.Call) else ast.Call(func=dec, args=[], keywords=[])
+        if isinstance(call.func, ast.Name) and call.func.id == "dataclass":
+            return any(kw.arg == "kw_only" and getattr(kw.value, "value", None) is True
+                       for kw in call.keywords)
+    return None
+
+
+def _dataclass_defaults(trees, modules):
+    """(label, name, [(key, position)]) of each defaulted dataclass field, with
+    one (key, position) for its class and for each subclass that inherits it;
+    position counts the fields before it that a call may pass positionally,
+    None for a keyword-only one."""
+    classes = {}  # key -> (ClassDef, own fields keyword-only, base keys)
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        module = path.stem
+        aliases, functions = _module_names(tree, module, modules)
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            kw_only = _dataclass_kw_only(cls)
+            if kw_only is not None:
+                bases = [_target(b, module, aliases, functions) for b in cls.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+                classes[module, cls.name] = (cls, kw_only, bases)
+
+    def fields(key):
+        """[(owner key, name, has default, kw_only)] in __init__ order, bases first."""
+        cls, kw_only, bases = classes[key]
+        return [f for base in bases if base in classes for f in fields(base)] + [
+            (key, stmt.target.id, stmt.value is not None, kw_only) for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
     out = {}
+    for key in classes:
+        positional = [name for _, name, _, kw_only in fields(key) if not kw_only]
+        for owner, name, default, kw_only in fields(key):
+            if default:
+                position = None if kw_only else positional.index(name)
+                out.setdefault((owner, name), []).append((key, position))
+    return [(f"{owner[0]}.{owner[1]}", name, keyed) for (owner, name), keyed in out.items()]
+
+
+def _package_defaults(trees):
+    """(label, name, [(key, position)]) of every defaulted parameter in
+    src/shapgate, where key is the definition key whose calls can pass it: a
+    class's __init__ is keyed by the class, the other dunders, which Python
+    calls itself, are left out, and a dataclass field goes by
+    _dataclass_defaults."""
+    modules = {path.stem for path in trees if path.parent == PACKAGE}
+    out = _dataclass_defaults(trees, modules)
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
@@ -216,26 +268,29 @@ def _package_defaults(trees):
                 continue
             else:
                 key, label = (None, fn.name), f"{cls}.{fn.name}"
-            out.setdefault(key, []).extend(
-                (f"{module}.{label}", *param) for param in _defaulted(fn, cls is not None))
+            out.extend((f"{module}.{label}", name, [(key, position)])
+                       for position, name in _defaulted(fn, cls is not None))
     return out
 
 
 def _calls_and_values(trees):
     """The calls to each definition key, and the keys also loaded as values.
-    ast.walk visits a call before its callee, so a callee is not a value."""
+    ast.walk visits a call before its callee and a class before its bases, so
+    neither a callee nor a base class is a value."""
     modules = {path.stem for path in trees if path.parent == PACKAGE}
     calls, values = {}, set()
     for path, tree in trees.items():
         module = path.stem if path.parent == PACKAGE else None
         aliases, functions = _module_names(tree, module, modules)
-        callees = set()
+        not_values = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                callees.add(id(node.func))
+            if isinstance(node, ast.ClassDef):
+                not_values.update(id(base) for base in node.bases)
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                not_values.add(id(node.func))
                 calls.setdefault(_target(node.func, module, aliases, functions), []).append(node)
             elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-                  and id(node) not in callees):
+                  and id(node) not in not_values):
                 values.add(_target(node, module, aliases, functions))
     return calls, values
 
@@ -252,9 +307,9 @@ def test_every_parameter_default_is_used_by_a_non_test_call():
     trees = _sources()
     calls, values = _calls_and_values(trees)
     overridden = sorted(
-        f"{label}({name}=...)"
-        for key, params in _package_defaults(trees).items() if key not in values
-        for label, position, name in params
-        if calls.get(key) and all(_passes(call, position, name) for call in calls[key]))
+        f"{label}({name}=...)" for label, name, keyed in _package_defaults(trees)
+        if not any(key in values for key, _ in keyed) and any(calls.get(key) for key, _ in keyed)
+        and all(_passes(call, position, name) for key, position in keyed
+                for call in calls.get(key, ())))
     assert not overridden, ("defaults in src/shapgate that every non-test call overrides; "
                             f"pass the value and drop the default: {overridden}")

@@ -9,6 +9,7 @@ cluster structure IS the label so the recovered k is known in advance.
 
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import plain_batch
 from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline
 from shapgate.errors import DataError, UsageError
 
@@ -76,6 +78,52 @@ def test_zero_gbm_trees_rejected():
     # gbm.fit accepts 0 trees; an experiment on their all-zero attributions does not
     with pytest.raises(UsageError, match="n_trees"):
         small_config(gbm_config=gbm.GbmConfig(n_trees=0))
+
+
+# each setting's numbers out of range; grid k has none here, as select checks
+# it against the rows of the fit folds
+OUT_OF_RANGE = {
+    "master_seed": [-1], "n_seeds": [0], "holdout_fraction": [0.0, 1.0, 1.5], "n_folds": [1],
+    "step_size": [0.0, -1e-3], "batch_size": [0], "max_epochs": [0], "patience": [-1],
+    "gbm n_trees": [0, -1], "gbm learning_rate": [0.0, -0.1], "gbm max_depth": [0],
+    "gbm min_samples_leaf": [0], "grid k": [], "variant": [1],
+}
+
+
+def config_with(setting, value):
+    """An ExperimentConfig of defaults but for one setting; "gbm <name>" goes
+    through gbm_config, "grid k" is the one cell's k and "variant" a second
+    variant entry."""
+    if setting.startswith("gbm "):
+        return pipeline.ExperimentConfig(dataset="heart",
+                                         gbm_config=gbm.GbmConfig(**{setting[4:]: value}))
+    if setting == "grid k":
+        return pipeline.ExperimentConfig(dataset="heart",
+                                         grid=[(kernel_kmeans.KernelSpec("linear"), value)])
+    if setting == "variant":
+        return pipeline.ExperimentConfig(dataset="heart", variants=("full", value))
+    return pipeline.ExperimentConfig(dataset="heart", **{setting: value})
+
+
+@pytest.mark.parametrize("setting, value", [
+    (setting, value) for setting, numbers in OUT_OF_RANGE.items()
+    for value in ("x", None, {}, True, math.nan, math.inf, -math.inf, *numbers)], ids=str)
+def test_a_bad_setting_raises_usage_error_from_the_constructor(setting, value):
+    # the one check of every setting: never a TypeError or DataError from a
+    # config built later
+    with pytest.raises(UsageError, match=setting):
+        config_with(setting, value)
+
+
+def test_settings_at_the_edge_of_their_range_are_kept():
+    config = pipeline.ExperimentConfig(
+        dataset="heart", master_seed=np.int64(0), n_seeds=1, holdout_fraction=np.float32(0.5),
+        n_folds=2, step_size=1, batch_size=1, max_epochs=1, patience=0,
+        gbm_config=gbm.GbmConfig(n_trees=1, learning_rate=5, max_depth=1, min_samples_leaf=1),
+        grid=[(kernel_kmeans.KernelSpec("linear"), 0)], variants=["simple_nn"])
+    assert type(config.master_seed) is int and config.holdout_fraction == np.float32(0.5)
+    assert config.net_config(seed=3) == network.NetConfig(
+        step_size=1, batch_size=1, max_epochs=1, patience=0, seed=3)
 
 
 def test_grid_k_outside_fit_fold_stops_before_fitting(diabetes_path, monkeypatch):
@@ -247,7 +295,7 @@ def test_cv_recovers_generating_k():
     matrix = dataset.FeatureMatrix(
         values=rng.normal(size=(labels.size, 6)),
         labels=labels,
-        column_meta=[(f"f{i}", "scaled") for i in range(6)],
+        feature_names=[f"f{i}" for i in range(6)],
     )
     prepared = pipeline.PreparedData(
         dataset="diabetes", matrix=matrix,
@@ -288,9 +336,9 @@ def test_simple_nn_path_is_plain_mlp(small_parts, small_record):
     net_cfg = config.net_config(
         seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("simple_nn"))
     )
-    train_batch = network.NetBatch(x=X[tr])
+    train_batch = plain_batch(X[tr])
     fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
-    probs = network.predict(fitted.params, network.NetBatch(x=X[te]))
+    probs = network.predict(fitted.params, plain_batch(X[te]))
     report = metrics.evaluate(probs, y[te])
     got = small_record.variants["simple_nn"].report
     assert report.f1 == got.f1

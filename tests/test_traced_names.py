@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import net_config, plain_batch
 from shapgate import kernel_kmeans, network
 
 SPANS = Path(__file__).resolve().parent.parent / "shapbench" / "spans.py"
@@ -51,8 +52,8 @@ def test_traced_counts_come_from_module_attribute_calls(monkeypatch):
     X = rng.normal(size=(41, 3))
     y = (X[:, 0] > 0).astype(float)
     y[:2] = (0.0, 1.0)
-    batch = network.NetBatch(x=X)
-    config = network.NetConfig(batch_size=8, max_epochs=4, seed=1)
+    batch = plain_batch(X)
+    config = net_config(batch_size=8, max_epochs=4, seed=1)
     result = network.train(batch, y, batch, y, config)
     assert calls == ["loss_and_grads"] * len(result.train_losses) * math.ceil(41 / 8)
     calls.clear()
