@@ -8,7 +8,8 @@ Subcommands:
   report   re-render report files from a previously written manifest
   synth    write a synthetic stand-in data file in the published format
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
+4 a worker process died.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import os
 import sys
 
 from . import attribution, dataset, gbm, kernel_kmeans, metrics, pipeline, synth
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, WorkerDiedError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,6 +288,9 @@ def main(argv=None):
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except WorkerDiedError as e:
+        print(f"worker failure: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 CLI exit codes map onto these: UsageError -> 1, DataError -> 2,
-NumericalError -> 3.
+NumericalError -> 3, WorkerDiedError -> 4.
 """
 
 
@@ -37,3 +37,7 @@ class TrainingDivergedError(NumericalError):
     def __init__(self, epoch):
         self.epoch = epoch
         super().__init__(f"training loss became non-finite at epoch {epoch}")
+
+
+class WorkerDiedError(ShapgateError):
+    """A worker process of a parallel map ended before returning its share."""

@@ -34,6 +34,10 @@ from .errors import DataError, NumericalError
 
 MAX_ITER = 300  # Lloyd steps per restart
 N_RESTARTS = 10  # seeded restarts per fit; the lowest objective wins
+# elements of the outer-sum block a radial kernel_matrix holds beside its
+# result: 128 KB, and numpy's broadcast add takes up to 128 KB of buffers
+# more, together about a fifth of the n x n result at n = 400
+RADIAL_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,19 @@ def spec_from_label(label):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf; see _require_finite
 def kernel_matrix(spec, A, B=None):
-    """Pairwise kernel values H(A_i, B_j), shape (len(A), len(B))."""
+    """Pairwise kernel values H(A_i, B_j), shape (len(A), len(B)).
+
+    The result is the one float64 matrix the evaluation holds: every kind is
+    computed inside the buffer of A @ B.T, and a radial kernel takes its
+    outer sum of squared norms a block of rows at a time."""
     A = np.asarray(A, dtype=np.float64)
     B = A if B is None else np.asarray(B, dtype=np.float64)
     if A.shape[1] != B.shape[1]:
         raise DataError(f"kernel dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     # each step works in place, in the order of the textbook expressions
     # (A @ B.T + c) ** d and exp(-gamma * max(|a|^2 + |b|^2 - 2 A @ B.T, 0)),
-    # so every value is rounded as they round it
+    # so every value is rounded as they round it. G comes from one product:
+    # OpenBLAS rounds a product of another shape differently
     G = A @ B.T
     if spec.kind == "linear":
         return G
@@ -121,12 +130,14 @@ def kernel_matrix(spec, A, B=None):
     G *= 2.0
     a2 = np.sum(A * A, axis=1)
     b2 = a2 if B is A else np.sum(B * B, axis=1)
-    sq = np.add.outer(a2, b2)
-    sq -= G
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -spec.gamma
-    np.exp(sq, out=sq)
-    return sq
+    # only the outer sum makes a temporary, so only it is taken in blocks
+    step = max(1, RADIAL_BLOCK_ELEMENTS // b2.size)
+    for lo in range(0, a2.size, step):
+        np.subtract(a2[lo : lo + step, None] + b2, G[lo : lo + step], out=G[lo : lo + step])
+    np.maximum(G, 0.0, out=G)
+    G *= -spec.gamma
+    np.exp(G, out=G)
+    return G
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -143,9 +154,11 @@ def kernel_diag(spec, X):
 
 def _require_finite(spec, *values):
     """NumericalError on a non-finite kernel value: finite parameters can
-    still overflow, e.g. a high polynomial degree or a huge coef0."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise NumericalError(f"kernel {spec.label()} gives non-finite values on these vectors")
+    still overflow, e.g. a high polynomial degree or a huge coef0. A NaN or
+    an infinity shows in an array's min or max, which allocate no mask."""
+    for v in values:
+        if v.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
+            raise NumericalError(f"kernel {spec.label()} gives non-finite values on these vectors")
 
 
 @dataclass
@@ -210,9 +223,8 @@ def _repair_empty(assignment, dist_own, sizes):
     return assignment
 
 
-def _greedy_seed_assignment(K, k, rng):
+def _greedy_seed_assignment(K, diag, k, rng):
     n = K.shape[0]
-    diag = np.diag(K).copy()
     # squared feature-space distance of every point to each chosen center
     c = int(rng.integers(n))
     dists = [diag - 2.0 * K[:, c] + diag[c]]
@@ -224,8 +236,9 @@ def _greedy_seed_assignment(K, k, rng):
     return np.argmin(np.stack(dists, axis=1), axis=1)
 
 
-def _lloyd(K, k, start, max_iter, seen):
+def _lloyd(K, diag, k, start, max_iter, seen):
     """Lloyd steps from the start assignment; (assignment, sizes, pair_sums, objective).
+    `diag` is the diagonal of K.
 
     `seen` maps the assignments that earlier converged runs of the same fit
     started a step with (as compact bytes) to the number of further steps
@@ -234,7 +247,6 @@ def _lloyd(K, k, start, max_iter, seen):
     and returns None instead.
     """
     n = K.shape[0]
-    diag = np.diag(K).copy()
     rows = np.arange(n)
     members = np.empty((n, k))  # the indicator matrix, refilled each step
     assignment = start.copy()
@@ -278,11 +290,12 @@ def fit(vectors, k, spec, seed):
         raise DataError(f"k={k} must be in [1, n={n}]")
     K = kernel_matrix(spec, vectors)
     _require_finite(spec, K)
+    diag = np.diag(K).copy()
     best = None
     seen = {}
     for r in range(N_RESTARTS):
-        start = _greedy_seed_assignment(K, k, np.random.default_rng([seed, 0xC1, r]))
-        run = _lloyd(K, k, start, MAX_ITER, seen)
+        start = _greedy_seed_assignment(K, diag, k, np.random.default_rng([seed, 0xC1, r]))
+        run = _lloyd(K, diag, k, start, MAX_ITER, seen)
         if run is not None and (best is None or run[3] < best[3]):
             best = run
     assignment, sizes, pair_sums, obj = best

@@ -39,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import attribution, dataset, gbm, kernel_kmeans, metrics, network
-from .errors import DataError, ShapgateError, UsageError
+from .errors import DataError, ShapgateError, UsageError, WorkerDiedError
 
 # network wiring per variant: (gate source, cluster one-hot block), where the
 # gate source is "shap" (attribution rows), "noise" (fixed seeded vector) or
@@ -206,12 +206,14 @@ def _map(fn, calls):
     results; a spawned one would import numpy and the package again and be
     sent every input. The deal is static, so a share holds the same calls on
     every run. A map made inside another, here or in a worker, and every map
-    where fork is unavailable, runs in one process."""
+    where fork is unavailable, runs in one process. A worker that dies, as
+    under kill -9, raises WorkerDiedError here."""
     global _inherited
     processes = 1 if _inherited is not None else min(_processes(), len(calls))
     if processes > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         if "fork" not in multiprocessing.get_all_start_methods():
             processes = 1
     if processes <= 1:
@@ -227,6 +229,9 @@ def _map(fn, calls):
             out[0::processes] = [fn(*args) for args in calls[0::processes]]
             for share, future in enumerate(futures, start=1):
                 out[share::processes] = future.result()
+    except BrokenProcessPool as err:
+        # a worker died: at a later submit, or before returning its share
+        raise WorkerDiedError("a worker process died before returning its results") from err
     finally:
         _inherited = None
     return out

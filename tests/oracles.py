@@ -36,10 +36,12 @@ fresh_loss_and_grads is no oracle: it calls network.loss_and_grads with a
 new gradient dict, which network.train allocates once and reuses. Nor are
 net_config and plain_batch, which build what the pipeline passes in full:
 the network settings of an ExperimentConfig, and a batch with no gate rows
-and no cluster block.
+and no cluster block. Nor is traced_peak, which measures the memory a call
+holds at its high-water mark.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +61,17 @@ def net_config(seed=0, **settings):
 
 def plain_batch(x):
     return network.NetBatch(x=x, shap=None, onehot=None)
+
+
+def traced_peak(fn, *args):
+    """The most bytes that Python and numpy held at once during fn(*args),
+    counting only what the call allocated."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fresh_loss_and_grads(params, batch, y):

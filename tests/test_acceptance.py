@@ -191,7 +191,8 @@ def test_criterion_03_kernel_kmeans_correctness():
         X = rng.normal(size=(n, p))
         X[: n // 2] += rng.uniform(1.0, 6.0)
         init = rng.integers(0, k, size=n)
-        assignment = kk._lloyd(kk.kernel_matrix(linear, X), k, init, kk.MAX_ITER, {})[0]
+        K = kk.kernel_matrix(linear, X)
+        assignment = kk._lloyd(K, np.diag(K), k, init, kk.MAX_ITER, {})[0]
         assert np.array_equal(assignment, _plain_kmeans(X, k, init))
 
     specs = [
@@ -202,11 +203,11 @@ def test_criterion_03_kernel_kmeans_correctness():
     for s, spec in enumerate(specs):
         X = np.random.default_rng(1000 + s).normal(size=(60, 4))
         K = kk.kernel_matrix(spec, X)
-        init = kk._greedy_seed_assignment(K, 4, np.random.default_rng([s, 0xC1, 0]))
+        init = kk._greedy_seed_assignment(K, np.diag(K), 4, np.random.default_rng([s, 0xC1, 0]))
         # objective after 1, 2, ... Lloyd steps, until the assignment settles
         objectives, previous = [], None
         for steps in range(1, kk.MAX_ITER + 1):
-            assignment, _, _, obj = kk._lloyd(K, 4, init, steps, {})
+            assignment, _, _, obj = kk._lloyd(K, np.diag(K), 4, init, steps, {})
             objectives.append(obj)
             if previous is not None and np.array_equal(assignment, previous):
                 break

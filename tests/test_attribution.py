@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_shapley_oracle, leaf_boxes, loop_accumulate_tree
+from oracles import exact_shapley_oracle, leaf_boxes, loop_accumulate_tree, traced_peak
 from shapgate import attribution, dataset, gbm, pipeline, synth
 from shapgate.errors import DataError
 
@@ -353,13 +351,7 @@ def test_depth_7_peak_memory(tmp_path):
     ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], gbm.GbmConfig(n_trees=20, max_depth=7))
     bg = attribution.make_background(X, prepared.train_ids, seed=pipeline.child_seed(0, 1))
     rows = X[np.concatenate([prepared.train_ids, prepared.test_ids])]
-    tracemalloc.start()
-    try:
-        attribution.shap_matrix(ens, rows, bg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3_000_000
+    assert traced_peak(attribution.shap_matrix, ens, rows, bg) <= 3_000_000
 
 
 def test_identical_rows_identical_vectors():

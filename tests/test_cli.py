@@ -4,6 +4,7 @@ import copy
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -565,6 +566,30 @@ def test_run_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, heart_
     assert "non-finite" in grid[1]["error"]
     assert outputs[2] == outputs[1]
     capsys.readouterr()
+
+
+def test_a_dead_worker_exits_4_and_no_process_outlives_it(capsys, tmp_path, heart_path,
+                                                           monkeypatch):
+    # the second cell is the forked worker's share; the worker kills itself
+    caller = os.getpid()
+    real_cell = pipeline._grid_cell
+
+    def die_outside_the_caller(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_cell(*args)
+
+    # two processes: two usable cores, one BLAS thread each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(pipeline, "_grid_cell", die_outside_the_caller)
+    path = tmp_path / "two_cells.json"
+    path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3]]}))
+    argv = ["cv", "--dataset", "heart", "--data-path", heart_path, "--config", str(path)]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("worker failure: ")
+    assert multiprocessing.active_children() == []
 
 
 def test_run_cv_and_cluster_make_one_selection(capsys, tmp_path, heart_path):

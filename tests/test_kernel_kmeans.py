@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expr_kernel_matrix, loop_fit, loop_lloyd, loop_seed_assignment
+from oracles import expr_kernel_matrix, loop_fit, loop_lloyd, loop_seed_assignment, traced_peak
 
 from shapgate import kernel_kmeans as kk
 from shapgate import pipeline
@@ -54,7 +54,7 @@ def lloyd_objectives(K, k, start):
     """Objective after 1, 2, ... Lloyd steps from start, up to convergence."""
     objectives, previous = [], None
     for steps in range(1, kk.MAX_ITER + 1):
-        assignment, _, _, obj = kk._lloyd(K, k, start, steps, {})
+        assignment, _, _, obj = kk._lloyd(K, np.diag(K), k, start, steps, {})
         objectives.append(obj)
         if previous is not None and np.array_equal(assignment, previous):
             break
@@ -209,7 +209,8 @@ def test_linear_kernel_matches_plain_kmeans_oracle():
         X = rng.normal(size=(50, 4)) + 3.0 * rng.integers(0, 3, size=(50, 1))
         init = rng.integers(0, 4, size=50)
         init[:4] = np.arange(4)  # every cluster starts non-empty
-        assignment, _, _, obj = kk._lloyd(kk.kernel_matrix(LINEAR, X), 4, init, kk.MAX_ITER, {})
+        K = kk.kernel_matrix(LINEAR, X)
+        assignment, _, _, obj = kk._lloyd(K, np.diag(K), 4, init, kk.MAX_ITER, {})
         oracle_assign, oracle_inertia = plain_kmeans(X, 4, init)
         assert np.array_equal(assignment, oracle_assign)
         assert obj == pytest.approx(oracle_inertia, abs=1e-9)
@@ -219,7 +220,7 @@ def test_lloyd_objective_monotone():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(60, 4))
     K = kk.kernel_matrix(kk.KernelSpec("radial", gamma=0.5), X)
-    start = kk._greedy_seed_assignment(K, 4, np.random.default_rng([2, 0xC1, 0]))
+    start = kk._greedy_seed_assignment(K, np.diag(K), 4, np.random.default_rng([2, 0xC1, 0]))
     objectives = np.asarray(lloyd_objectives(K, 4, start))
     assert objectives.size >= 1
     assert np.all(np.diff(objectives) <= 1e-9)
@@ -238,13 +239,14 @@ def test_lloyd_returns_the_sums_of_its_assignment(spec):
         X = rng.normal(size=(int(rng.integers(12, 50)), 3))
         K = kk.kernel_matrix(spec, X)
         diag = np.diag(K).copy()
-        seeded = kk._greedy_seed_assignment(K, k, np.random.default_rng([trial, 0xC1, 0]))
+        seeded = kk._greedy_seed_assignment(K, diag, k, np.random.default_rng([trial, 0xC1, 0]))
         sparse = rng.integers(0, k - 1, size=X.shape[0])  # cluster k-1 starts empty
         for start in (seeded, sparse):
-            converged = kk._lloyd(K, k, start, kk.MAX_ITER, {})
-            assert np.array_equal(kk._lloyd(K, k, converged[0], 1, {})[0], converged[0])
-            exhausted = kk._lloyd(K, k, start, 1, {})
-            cut_short += not np.array_equal(kk._lloyd(K, k, exhausted[0], 1, {})[0], exhausted[0])
+            converged = kk._lloyd(K, diag, k, start, kk.MAX_ITER, {})
+            assert np.array_equal(kk._lloyd(K, diag, k, converged[0], 1, {})[0], converged[0])
+            exhausted = kk._lloyd(K, diag, k, start, 1, {})
+            cut_short += not np.array_equal(
+                kk._lloyd(K, diag, k, exhausted[0], 1, {})[0], exhausted[0])
             for assignment, sizes, pair_sums, obj in (converged, exhausted):
                 fresh_sizes, fresh_pair_sums, cross = kk._cluster_sums(
                     K, assignment, k, np.empty((X.shape[0], k)), np.arange(X.shape[0]))
@@ -272,7 +274,8 @@ def test_assign_batch_never_picks_an_empty_cluster():
 def test_empty_cluster_repair_keeps_k_clusters():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     init = np.array([0, 0, 1, 1])
-    assignment, sizes, _, _ = kk._lloyd(kk.kernel_matrix(LINEAR, X), 3, init, kk.MAX_ITER, {})
+    K = kk.kernel_matrix(LINEAR, X)
+    assignment, sizes, _, _ = kk._lloyd(K, np.diag(K), 3, init, kk.MAX_ITER, {})
     assert np.unique(assignment).size == 3
     assert np.all(sizes >= 1)
 
@@ -302,8 +305,10 @@ def test_fit_determinism_and_restarts():
     assert np.array_equal(a.assignment, b.assignment)
     # fit keeps the lowest-objective run of the seeded restarts, the first on ties
     K = kk.kernel_matrix(LINEAR, X)
+    diag = np.diag(K)
     runs = [
-        kk._lloyd(K, 3, kk._greedy_seed_assignment(K, 3, np.random.default_rng([9, 0xC1, r])),
+        kk._lloyd(K, diag, 3,
+                  kk._greedy_seed_assignment(K, diag, 3, np.random.default_rng([9, 0xC1, r])),
                   kk.MAX_ITER, {})
         for r in range(kk.N_RESTARTS)
     ]
@@ -330,6 +335,40 @@ def test_overflowing_kernel_raises_numerical_error(label):
     assert not np.all(np.isfinite(kk.kernel_matrix(spec, X)))
     with pytest.raises(NumericalError, match="non-finite"):
         kk.fit(X, k=3, spec=spec, seed=0)
+
+
+@pytest.mark.parametrize("label", ["rbf_g0.1", "linear"])
+def test_overflowing_squared_norms_raise_numerical_error(label):
+    # at |x| near 1e200 a squared norm overflows: a radial kernel meets
+    # inf - inf = NaN, a linear one reaches +inf and -inf
+    spec = kk.spec_from_label(label)
+    X = np.random.default_rng(5).normal(size=(20, 3))
+    huge = np.array([[1e200, 1e200, 1e200], [-1e200, -1e200, -1e200]])
+    K = kk.kernel_matrix(spec, np.vstack([X, huge]))
+    if spec.kind == "radial":
+        assert np.isnan(K).any()
+    else:
+        assert np.isposinf(K).any() and np.isneginf(K).any()
+    with pytest.raises(NumericalError, match="non-finite"):
+        kk.fit(np.vstack([X, huge]), k=3, spec=spec, seed=0)
+    # a training row at 1e150 keeps the fit finite; against it the huge rows overflow
+    model = kk.fit(np.vstack([X, np.full((1, 3), 1e150)]), k=3, spec=spec, seed=0)
+    with pytest.raises(NumericalError, match="non-finite"):
+        kk.assign_batch(model, huge)
+
+
+@pytest.mark.parametrize("label", ["linear", "poly_d3_c1", "rbf_g0.1"])
+def test_a_kernel_evaluation_holds_one_matrix(label):
+    # fit holds the n x n kernel and little more: a radial kernel's outer
+    # sum of squared norms is taken a block of rows at a time, and the
+    # finiteness check allocates no mask
+    rng = np.random.default_rng(0)
+    n, m = 400, 100
+    X, queries = rng.normal(size=(n, 30)), rng.normal(size=(m, 30))
+    spec = kk.spec_from_label(label)
+    assert traced_peak(kk.fit, X, 4, spec, 0) <= 1.3 * n * n * 8
+    model = kk.fit(X, 4, spec, 0)
+    assert traced_peak(kk.assign_batch, model, queries) <= 2.0 * m * n * 8
 
 
 def test_assign_batch_rejects_overflowing_rows():
@@ -418,7 +457,7 @@ def lloyd_cases(draw):
 
 def lone_lloyd(K, k, start, max_iter):
     """_lloyd with an empty `seen`, as a fit's first restart runs it."""
-    return kk._lloyd(K, k, start, max_iter, {})
+    return kk._lloyd(K, np.diag(K).copy(), k, start, max_iter, {})
 
 
 def lloyd_bytes(lloyd, K, k, start, max_iter):
@@ -472,19 +511,20 @@ def test_lloyd_carries_on_when_a_seen_run_needs_more_steps_than_left():
     K = kk.kernel_matrix(LINEAR, X)
     start = rng.integers(0, 4, size=40)
     seen = {}
-    converged = kk._lloyd(K, 4, start, kk.MAX_ITER, seen)
+    diag = np.diag(K)
+    converged = kk._lloyd(K, diag, 4, start, kk.MAX_ITER, seen)
     steps = seen[start.astype(np.uint8).tobytes()]  # further steps from start
     assert steps >= 2 and len(seen) == steps + 1
     recorded = dict(seen)
     for max_iter in (1, steps - 1, steps):
-        cut = kk._lloyd(K, 4, start, max_iter, seen)
-        plain = kk._lloyd(K, 4, start, max_iter, {})
+        cut = kk._lloyd(K, diag, 4, start, max_iter, seen)
+        plain = kk._lloyd(K, diag, 4, start, max_iter, {})
         assert cut is not None
         assert [a.tobytes() for a in cut[:3]] == [a.tobytes() for a in plain[:3]]
         assert repr(cut[3]) == repr(plain[3])
         assert seen == recorded  # a run cut off by max_iter records nothing
-    assert kk._lloyd(K, 4, start, steps + 1, seen) is None
-    assert kk._lloyd(K, 4, start, steps + 1, {})[0].tobytes() == converged[0].tobytes()
+    assert kk._lloyd(K, diag, 4, start, steps + 1, seen) is None
+    assert kk._lloyd(K, diag, 4, start, steps + 1, {})[0].tobytes() == converged[0].tobytes()
 
 
 @st.composite
@@ -495,7 +535,9 @@ def kernel_cases(draw):
     A = scale * rng.normal(size=(draw(st.integers(1, 30)), p))
     B = None if draw(st.booleans()) else scale * rng.normal(size=(draw(st.integers(1, 30)), p))
     labels = KERNEL_LABELS + ["poly_d1_c-2.5", "poly_d400_c1", "poly_d2_c1e200", "rbf_g1e-05"]
-    return kk.spec_from_label(draw(st.sampled_from(labels))), A, B
+    # radial blocks of one row, of several rows, and of every row
+    budget = draw(st.sampled_from([1, 7, 64, kk.RADIAL_BLOCK_ELEMENTS]))
+    return kk.spec_from_label(draw(st.sampled_from(labels))), A, B, budget
 
 
 OVERFLOW_ROWS = 3.0 * np.random.default_rng(0).normal(size=(20, 3))
@@ -503,14 +545,19 @@ OVERFLOW_ROWS = 3.0 * np.random.default_rng(0).normal(size=(20, 3))
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
-@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, None))
-@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, OVERFLOW_ROWS[:4]))
-@example((kk.spec_from_label("rbf_g1"), OVERFLOW_ROWS, OVERFLOW_ROWS))  # B equal to A, not A
+@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, None, kk.RADIAL_BLOCK_ELEMENTS))
+@example((kk.spec_from_label("poly_d400_c1"), OVERFLOW_ROWS, OVERFLOW_ROWS[:4],
+          kk.RADIAL_BLOCK_ELEMENTS))
+@example((kk.spec_from_label("rbf_g1"), OVERFLOW_ROWS, OVERFLOW_ROWS,
+          kk.RADIAL_BLOCK_ELEMENTS))  # B equal to A, not A
+@example((kk.spec_from_label("rbf_g1"), OVERFLOW_ROWS, OVERFLOW_ROWS, 7))  # the same, one-row blocks
+@example((kk.spec_from_label("rbf_g1"), OVERFLOW_ROWS, None, 64))  # blocks of 3 rows, then 2
 def test_kernel_matrix_matches_the_expressions(case):
     # the poly_d400_c1 examples overflow to inf on these rows, as
     # test_overflowing_kernel_raises_numerical_error checks
-    spec, A, B = case
-    fast = kk.kernel_matrix(spec, A, B)
+    spec, A, B, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kk, "RADIAL_BLOCK_ELEMENTS", budget)
+        fast = kk.kernel_matrix(spec, A, B)
     slow = expr_kernel_matrix(spec, A, B)
     assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
-

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import plain_batch
 from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline
-from shapgate.errors import DataError, UsageError
+from shapgate.errors import DataError, UsageError, WorkerDiedError
 
 SMALL_GRID = [
     (kernel_kmeans.KernelSpec("linear"), 2),
@@ -623,6 +623,31 @@ def test_default_blas_threads_run_in_this_process(diabetes_path, monkeypatch):
     # two grid cells and four variants, each of which two processes would share
     record = pipeline.run_experiment(small_config(max_epochs=5), diabetes_path)
     assert len(record.grid_cells) == 2 and len(record.variants) == 4
+
+
+def test_a_pool_broken_at_a_later_submit_raises_worker_died_error(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_submit = ProcessPoolExecutor.submit
+    submitted = []
+
+    def break_at_the_second_submit(pool, *args):
+        # as when a worker dies while later shares are still being queued
+        submitted.append(args)
+        if len(submitted) == 2:
+            raise BrokenProcessPool("a worker died")
+        return real_submit(pool, *args)
+
+    # three processes: three usable cores, one BLAS thread each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", break_at_the_second_submit)
+    with pytest.raises(WorkerDiedError) as raised:
+        pipeline._map(lambda i: i, [(i,) for i in range(6)])
+    assert isinstance(raised.value.__cause__, BrokenProcessPool)
+    assert len(submitted) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
