@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .errors import DataError, ParseError
 
 MISSING = "?"
@@ -270,7 +271,7 @@ def handle_missing(table):
         if n_missing == 0:
             continue
         if table.column_kinds[col] == CONTINUOUS:
-            fill = format(float(np.median([float(c) for c in present])), ".10g")
+            fill = format(metrics.median([float(c) for c in present]), ".10g")
         else:
             # mode; ties broken by first appearance for determinism
             counts = {}

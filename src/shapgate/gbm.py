@@ -17,8 +17,10 @@ feature index, then the smallest cut. That is the cut a per-feature loop with
 a strict > over ascending features picks, with the same gain bits.
 
 Each build also returns every training row's leaf value, which boosting adds
-without re-predicting; predict_margin_batch moves all rows down all stacked
-trees a level per step and adds the trees in ascending order, as a walk would.
+without re-predicting. predict_margin_batch moves the rows down all stacked
+trees a level per step, a block of rows at a time so that rows x trees stays
+within PREDICT_BLOCK_ELEMENTS, and adds each row's trees in ascending order,
+as a walk would.
 
 Routing rule everywhere: x[feature] <= threshold goes left.
 """
@@ -31,6 +33,9 @@ from .errors import DataError
 
 NEWTON_DENOM_FLOOR = 1e-12
 MIN_SPLIT_GAIN = 1e-12
+# rows x trees that predict_margin_batch routes at once; its transients are a
+# few such arrays, whatever the number of rows
+PREDICT_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -215,11 +220,14 @@ def predict_margin_batch(ensemble, X):
     roots = np.cumsum([0] + sizes[:-1], dtype=np.int32)
     own, offset = np.arange(feature.size, dtype=np.int32), np.repeat(roots, sizes)
     left, right = (np.where(feature < 0, own, child + offset) for child in (left, right))
-    # every row down every tree, one level per step
-    node = np.broadcast_to(roots, (X.shape[0], roots.size))
-    rows = np.arange(X.shape[0])[:, None]
-    while (feature[node] >= 0).any():
-        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
-    for term in (ensemble.learning_rate * value[node]).T:  # trees in ascending order
-        margins += term
+    # a block of rows down every tree, one level per step
+    step = max(1, PREDICT_BLOCK_ELEMENTS // roots.size)
+    for lo in range(0, X.shape[0], step):
+        block, out = X[lo : lo + step], margins[lo : lo + step]
+        node = np.broadcast_to(roots, (block.shape[0], roots.size))
+        rows = np.arange(block.shape[0])[:, None]
+        while (feature[node] >= 0).any():
+            node = np.where(block[rows, feature[node]] <= threshold[node], left[node], right[node])
+        for term in (ensemble.learning_rate * value[node]).T:  # trees in ascending order
+            out += term
     return margins

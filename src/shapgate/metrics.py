@@ -42,11 +42,30 @@ class EvalReport(ConfusionMetrics):
         return {name: getattr(self, name) for name in REPORTED}
 
 
+def median(values):
+    """np.median of a non-empty sequence of floats, bit for bit.
+
+    numpy 2 loads numpy.ma, about a megabyte, the first time np.median runs,
+    to probe for masked arrays; this takes numpy's own steps without the
+    probe. The partition uses numpy's kth list, whose trailing -1 brings a
+    NaN to the end; the median is the mean of the middle one or two values,
+    or that NaN. statistics.median is no drop-in: on ties of 0.0 and -0.0
+    and on NaN it can pick another value than np.median.
+    """
+    part = np.asarray(values, dtype=np.float64)
+    mid = part.size // 2
+    odd = part.size % 2
+    part = np.partition(part, [mid, -1] if odd else [mid - 1, mid, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[mid - 1 + odd : mid + 1].mean())
+
+
 def _check_binary_labels(labels):
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
-    if not np.all(np.isin(uniq, (0, 1))):
-        raise DataError(f"labels must be binary 0/1, got values {uniq.tolist()}")
+    # np.unique only for the message: in numpy 2 it loads numpy.ma to probe for masks
+    if ((labels != 0) & (labels != 1)).any():
+        raise DataError(f"labels must be binary 0/1, got values {np.unique(labels).tolist()}")
     return labels.astype(np.int64)
 
 

@@ -207,7 +207,8 @@ def _map(fn, calls):
     sent every input. The deal is static, so a share holds the same calls on
     every run. A map made inside another, here or in a worker, and every map
     where fork is unavailable, runs in one process. A worker that dies, as
-    under kill -9, raises WorkerDiedError here."""
+    under kill -9, raises WorkerDiedError here, at the latest when this
+    process ends its current call."""
     global _inherited
     processes = 1 if _inherited is not None else min(_processes(), len(calls))
     if processes > 1:
@@ -226,11 +227,16 @@ def _map(fn, calls):
         with ProcessPoolExecutor(processes - 1,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_work_share, share) for share in range(1, processes)]
-            out[0::processes] = [fn(*args) for args in calls[0::processes]]
+            for i in range(0, len(calls), processes):
+                out[i] = fn(*calls[i])
+                for future in futures:  # a dead worker ends the map now
+                    if future.done() and isinstance(future.exception(), BrokenProcessPool):
+                        raise future.exception()
             for share, future in enumerate(futures, start=1):
                 out[share::processes] = future.result()
     except BrokenProcessPool as err:
-        # a worker died: at a later submit, or before returning its share
+        # a worker died: at a later submit, during this process's share or
+        # before returning its own
         raise WorkerDiedError("a worker process died before returning its results") from err
     finally:
         _inherited = None
@@ -666,7 +672,7 @@ def _variant_metric_rows(records, variants):
         reports = [r.variants[variant].report for r in records
                    if variant in r.variants and r.variants[variant].report is not None]
         medians = SimpleNamespace(**{
-            name: float(np.median([getattr(rep, name) for rep in reports]))
+            name: metrics.median([getattr(rep, name) for rep in reports])
             for name in metrics.REPORTED
         }) if reports else None
         rows.append((variant, medians))

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, subcommand outputs, config precedence."""
 
+import concurrent.futures
 import copy
 import json
 import multiprocessing
@@ -590,6 +591,75 @@ def test_a_dead_worker_exits_4_and_no_process_outlives_it(capsys, tmp_path, hear
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("worker failure: ")
     assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_ends_the_map_before_the_callers_next_call(capsys, tmp_path, heart_path,
+                                                                monkeypatch):
+    # three cells over two processes: the caller's share is the first and
+    # the third, the worker's the second; the worker kills itself, and the
+    # caller's first cell returns only once the pool has marked it dead
+    caller = os.getpid()
+    real_cell = pipeline._grid_cell
+    futures, ran = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    def die_outside_the_caller(folds, spec, k, config):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        ran.append(k)
+        cell = real_cell(folds, spec, k, config)
+        concurrent.futures.wait(futures, timeout=60)
+        return cell
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "_grid_cell", die_outside_the_caller)
+    path = tmp_path / "three_cells.json"
+    path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3], ["linear", 4]]}))
+    argv = ["cv", "--dataset", "heart", "--data-path", heart_path, "--config", str(path)]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("worker failure: ")
+    assert multiprocessing.active_children() == []
+    assert len(futures) == 1 and futures[0].done()
+    assert ran == [2]  # the caller's second cell never ran
+
+
+NUMPY_MA_PROBE = """
+import json
+import sys
+
+import numpy
+
+bare = "numpy.ma" in sys.modules
+from shapgate import cli
+
+data, config, out = sys.argv[1:]
+argv = ["run", "--dataset", "heart", "--data-path", data, "--config", config, "--out", out]
+assert cli.main(argv) == 0
+assert cli.main(["report", "--manifest", out + "/manifest.json", "--out", out + "/report"]) == 0
+print(json.dumps([bare, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_run_and_report_never_load_numpy_ma(tmp_path, heart_path, fast_config):
+    # numpy 2 loads numpy.ma, about a megabyte, the first time np.median or a
+    # plain np.unique runs; numpy 1.x loads it with numpy itself
+    src = str(Path(shapgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, heart_path, fast_config, str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    bare, loaded = json.loads(done.stdout.splitlines()[-1])
+    if bare:
+        pytest.skip("a bare import numpy loads numpy.ma")
+    assert not loaded
 
 
 def test_run_cv_and_cluster_make_one_selection(capsys, tmp_path, heart_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_best_split, loop_predict_margin
+from oracles import loop_best_split, loop_predict_margin, traced_peak
 from shapgate import gbm
 from shapgate.errors import DataError
 
@@ -306,7 +306,11 @@ def ensembles_and_rows(draw):
     cells = st.one_of(st.sampled_from(THRESHOLDS), st.floats(-2.0, 2.0))
     X = np.asarray(draw(st.lists(cells, min_size=n * p, max_size=n * p)),
                    dtype=np.float64).reshape(n, p)
-    return ens, X
+    # rows x trees in one block, or over a budget of 1 up to rows x trees:
+    # one-row blocks, a ragged last block or an exact multiple
+    budget = draw(st.one_of(st.just(gbm.PREDICT_BLOCK_ELEMENTS),
+                            st.integers(1, max(1, n * len(ens.trees)))))
+    return ens, X, budget
 
 
 def _lone_leaf(value):
@@ -315,12 +319,44 @@ def _lone_leaf(value):
                             right=np.array([-1], dtype=np.int32), value=np.array([value]))
 
 
+def _stump(threshold, low, high):
+    return gbm.DecisionTree(feature=np.array([0, -1, -1], dtype=np.int32),
+                            threshold=np.array([threshold, 0.0, 0.0]),
+                            left=np.array([1, -1, -1], dtype=np.int32),
+                            right=np.array([2, -1, -1], dtype=np.int32),
+                            value=np.array([0.0, low, high]))
+
+
+STUMPS = gbm.TreeEnsemble(base_margin=0.5, trees=[_stump(0.0, 0.3, -0.7), _stump(0.5, 1.1, 0.2)],
+                          learning_rate=0.1, n_features=1)
+EIGHT_ROWS = np.linspace(-1.0, 1.0, 8)[:, None]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ensembles_and_rows())
 @example((gbm.TreeEnsemble(base_margin=0.5, trees=[], learning_rate=0.1, n_features=2),
-          np.zeros((3, 2))))  # zero trees
+          np.zeros((3, 2)), gbm.PREDICT_BLOCK_ELEMENTS))  # zero trees
 @example((gbm.TreeEnsemble(base_margin=0.5, trees=[_lone_leaf(0.3), _lone_leaf(-7.0)],
-                           learning_rate=0.1, n_features=1), np.zeros((3, 1))))  # root-only trees
+                           learning_rate=0.1, n_features=1), np.zeros((3, 1)),
+          gbm.PREDICT_BLOCK_ELEMENTS))  # root-only trees
+@example((STUMPS, EIGHT_ROWS, 1))  # one-row blocks
+@example((STUMPS, EIGHT_ROWS, 6))  # blocks of 3, 3 and 2 rows
+@example((STUMPS, EIGHT_ROWS, 8))  # two blocks of 4 rows
 def test_margin_matches_the_loop(case):
-    ens, X = case
-    assert gbm.predict_margin_batch(ens, X).tobytes() == loop_predict_margin(ens, X).tobytes()
+    ens, X, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gbm, "PREDICT_BLOCK_ELEMENTS", budget)
+        fast = gbm.predict_margin_batch(ens, X)
+    assert fast.tobytes() == loop_predict_margin(ens, X).tobytes()
+
+
+def test_prediction_memory_does_not_grow_with_the_rows():
+    # rows go down the trees a block of PREDICT_BLOCK_ELEMENTS rows x trees
+    # at a time; routing every row at once held about 2.7 x rows x trees x 8
+    # bytes, 10.1 MB here
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(600, 8))
+    y = (X[:, 0] + rng.normal(size=600) > 0).astype(np.float64)
+    ens = gbm.fit(X, y, gbm.GbmConfig(n_trees=100))
+    rows = rng.normal(size=(5000, 8))
+    assert traced_peak(gbm.predict_margin_batch, ens, rows) <= 1_000_000 + rows.shape[0] * 8

@@ -65,6 +65,41 @@ def test_single_class_rejected():
         classification_metrics([], [])
 
 
+@pytest.mark.parametrize("labels, shown", [
+    ([0, 2], "[0, 2]"),
+    ([0, 0.5], "[0.0, 0.5]"),
+    ([1, np.nan], "[1.0, nan]"),
+    (["0", "1"], "['0', '1']"),
+])
+def test_labels_other_than_0_and_1_rejected(labels, shown):
+    for check in (classification_metrics, roc_auc):
+        with pytest.raises(DataError) as err:
+            check([0.2, 0.8], labels)
+        assert str(err.value) == f"labels must be binary 0/1, got values {shown}"
+
+
+def test_bool_labels_accepted():
+    assert roc_auc([0.2, 0.8], [False, True])[0] == 1.0
+    assert classification_metrics([0.2, 0.8], np.array([False, True])).accuracy == 1.0
+
+
+MEDIAN_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]),
+                          st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(MEDIAN_VALUES, min_size=1, max_size=8))
+@example([0.0, -0.0])  # an even size: the mean of the middle two
+@example([-0.0, 0.0, -0.0])  # an odd size: the middle one
+@example([np.inf, -np.inf])  # a NaN mean
+@example([1.0, np.nan, 2.0, 3.0])  # a NaN
+def test_median_is_np_median_bit_for_bit(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # a mean of -inf and inf, or of huge values
+        expected, got = np.median(values), metrics.median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_degenerate_precision_flagged():
     # everything predicted positive -> class 0 has no predicted members
     cm = classification_metrics([0.9, 0.8, 0.7], [1, 1, 0])
