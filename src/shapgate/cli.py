@@ -9,7 +9,7 @@ Subcommands:
   synth    write a synthetic stand-in data file in the published format
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
-4 a worker process died.
+4 a worker process died or could not be started.
 """
 
 import argparse

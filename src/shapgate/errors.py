@@ -40,4 +40,5 @@ class TrainingDivergedError(NumericalError):
 
 
 class WorkerDiedError(ShapgateError):
-    """A worker process of a parallel map ended before returning its share."""
+    """A worker process of a parallel map could not be started, or ended
+    before returning its share."""

@@ -142,8 +142,11 @@ def predict(params, batch):
 
 
 def bce_loss(logit, y):
-    # softplus(z) - y*z, the stable form of -log p(y|z)
-    return float((np.logaddexp(0.0, logit) - y * logit).mean())
+    # softplus(z) - y*z, the stable form of -log p(y|z); the mean as
+    # .mean() takes it, one pairwise sum and one division, without numpy's
+    # Python wrapper
+    terms = np.logaddexp(0.0, logit) - y * logit
+    return float(np.add.reduce(terms) / terms.size)
 
 
 def _backward(params, batch, logit, cache, y, out):

@@ -30,6 +30,8 @@ import copy
 import json
 import math
 import os
+import pickle
+import signal
 import time
 import zlib
 from collections import namedtuple
@@ -190,56 +192,124 @@ def _processes():
     return 1
 
 
-_inherited = None  # (fn, calls, processes) of the map in progress, here or in a worker
+_in_map = False  # a map is in progress, in this process or in the one it was forked from
 
 
-def _work_share(share):
-    fn, calls, processes = _inherited
-    return [fn(*args) for args in calls[share::processes]]
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker; the
+    caller raises the exception again with this as its __cause__."""
+
+
+def _work_share(fn, calls, share, processes, pipes):
+    """The forked worker's whole life. It closes the pipe ends it inherited
+    but its own write end, pipes[-1], runs calls[share::processes] and
+    writes one pickle to that end: (True, results, None), or (False, the
+    exception, its formatted traceback). A reply that does not pickle, or an
+    exception that does not unpickle, is replaced by a PicklingError that
+    names it. The worker leaves through os._exit, status 0 once the whole
+    pickle is written: it never returns into the caller's stack and never
+    flushes the stdio buffers it inherited."""
+    status = 1
+    try:
+        for end in pipes[:-1]:
+            os.close(end)
+        try:
+            reply = (True, [fn(*args) for args in calls[share::processes]], None)
+        except BaseException as err:
+            import traceback
+            reply = (False, err, traceback.format_exc())
+        try:
+            data = pickle.dumps(reply)
+            if not reply[0]:
+                pickle.loads(data)
+        except BaseException as err:
+            import traceback
+            what = "results" if reply[0] else f"exception {reply[1]!r}"
+            data = pickle.dumps((False, pickle.PicklingError(
+                f"a worker could not send back its {what}: {err!r}"),
+                (reply[2] or "") + traceback.format_exc()))
+        with os.fdopen(pipes[-1], "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid, flags, running):
+    """Wait for a worker as os.waitpid(pid, flags) does, and once it has
+    ended take it out of `running`, the workers not yet reaped. A worker
+    that ended by a signal or a non-zero status raises WorkerDiedError."""
+    done, status = os.waitpid(pid, flags)
+    if done:
+        running.discard(pid)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise WorkerDiedError(f"a worker process died before returning its results ({how})")
 
 
 def _map(fn, calls):
     """[fn(*args) for args in calls], in call order. The calls are dealt
     round-robin over this process, which works share 0, and forked workers,
-    _processes() in all. A worker inherits fn and the calls in _inherited
-    through the fork, is sent only its share index and pickles back only its
-    results; a spawned one would import numpy and the package again and be
-    sent every input. The deal is static, so a share holds the same calls on
-    every run. A map made inside another, here or in a worker, and every map
-    where fork is unavailable, runs in one process. A worker that dies, as
-    under kill -9, raises WorkerDiedError here, at the latest when this
-    process ends its current call."""
-    global _inherited
-    processes = 1 if _inherited is not None else min(_processes(), len(calls))
-    if processes > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        if "fork" not in multiprocessing.get_all_start_methods():
-            processes = 1
+    _processes() in all. Each worker inherits fn and the calls through the
+    fork, works its share and writes back one pickle over a pipe of its own;
+    a spawned one would import numpy and the package again and be sent every
+    input. The deal is static, so a share holds the same calls on every run.
+    A map made inside another, here or in a worker, and every map where
+    os.fork is missing, runs in one process.
+
+    After each of its own calls this process polls the workers, so one that
+    dies, as under kill -9, raises WorkerDiedError at once; so does a worker
+    that could not be started. A worker's exception is raised here again,
+    with the worker's traceback text as its __cause__. Every exit, an
+    exception or KeyboardInterrupt included, kills and reaps each worker
+    still running, so none outlives the map and RUSAGE_CHILDREN counts each
+    worker's CPU."""
+    global _in_map
+    processes = 1 if _in_map or not hasattr(os, "fork") else min(_processes(), len(calls))
     if processes <= 1:
         return [fn(*args) for args in calls]
     out = [None] * len(calls)
-    _inherited = (fn, calls, processes)
+    pipes = []  # pipe ends open in this process
+    workers = []  # (pid, read end) per worker, in share order
+    running = set()  # pids not yet reaped
+    _in_map = True
     try:
-        # the pool forks its workers at the first submit, before it starts
-        # its own thread; leaving the block waits for every worker to exit
-        with ProcessPoolExecutor(processes - 1,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_work_share, share) for share in range(1, processes)]
-            for i in range(0, len(calls), processes):
-                out[i] = fn(*calls[i])
-                for future in futures:  # a dead worker ends the map now
-                    if future.done() and isinstance(future.exception(), BrokenProcessPool):
-                        raise future.exception()
-            for share, future in enumerate(futures, start=1):
-                out[share::processes] = future.result()
-    except BrokenProcessPool as err:
-        # a worker died: at a later submit, during this process's share or
-        # before returning its own
-        raise WorkerDiedError("a worker process died before returning its results") from err
+        for share in range(1, processes):
+            try:
+                pipes += os.pipe()
+                pid = os.fork()
+            except OSError as err:
+                raise WorkerDiedError("a worker process could not be started") from err
+            if pid == 0:
+                _work_share(fn, calls, share, processes, pipes)
+            os.close(pipes.pop())
+            workers.append((pid, pipes[-1]))
+            running.add(pid)
+        for i in range(0, len(calls), processes):
+            out[i] = fn(*calls[i])
+            for pid, _ in workers:
+                if pid in running:
+                    _reap(pid, os.WNOHANG, running)
+        for share, (pid, read_end) in enumerate(workers, start=1):
+            chunks = []
+            while chunk := os.read(read_end, 1 << 16):
+                chunks.append(chunk)
+            if pid in running:
+                _reap(pid, 0, running)
+            ok, value, trace = pickle.loads(b"".join(chunks))
+            if not ok:
+                raise value from _WorkerTraceback(trace)
+            out[share::processes] = value
     finally:
-        _inherited = None
+        _in_map = False
+        for end in pipes:
+            os.close(end)
+        for pid in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
     return out
 
 

@@ -37,10 +37,12 @@ new gradient dict, which network.train allocates once and reuses. Nor are
 net_config and plain_batch, which build what the pipeline passes in full:
 the network settings of an ExperimentConfig, and a batch with no gate rows
 and no cluster block. Nor is traced_peak, which measures the memory a call
-holds at its high-water mark.
+holds at its high-water mark, nor assert_no_child, which checks that no
+worker process is left behind.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -72,6 +74,16 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_no_child():
+    """Fail if this process has any child, running or ended but not reaped.
+    WNOWAIT leaves a child that has ended waitable for its parent."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left behind")
 
 
 def fresh_loss_and_grads(params, batch, y):

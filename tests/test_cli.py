@@ -1,14 +1,13 @@
 """CLI contract: exit codes, subcommand outputs, config precedence."""
 
-import concurrent.futures
 import copy
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import shapgate
+from oracles import assert_no_child
 from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, synth
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
@@ -559,7 +559,7 @@ def test_run_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, heart_
             for variant in run["variants"].values():
                 del variant["train_seconds"]
         outputs[processes] = ({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, manifest)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     csvs, manifest = outputs[1]
     assert len(csvs) == 5  # metrics table + one ROC curve per variant
     grid = manifest["runs"][0]["grid"]
@@ -590,34 +590,35 @@ def test_a_dead_worker_exits_4_and_no_process_outlives_it(capsys, tmp_path, hear
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("worker failure: ")
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_a_dead_worker_ends_the_map_before_the_callers_next_call(capsys, tmp_path, heart_path,
                                                                 monkeypatch):
     # three cells over two processes: the caller's share is the first and
     # the third, the worker's the second; the worker kills itself, and the
-    # caller's first cell returns only once the pool has marked it dead
+    # caller's first cell returns only once the worker has ended, which
+    # WNOWAIT leaves waitable for the map
     caller = os.getpid()
     real_cell = pipeline._grid_cell
-    futures, ran = [], []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
+    ended, ran = [], []
 
     def die_outside_the_caller(folds, spec, k, config):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         ran.append(k)
         cell = real_cell(folds, spec, k, config)
-        concurrent.futures.wait(futures, timeout=60)
+        deadline = time.monotonic() + 60
+        while not ended and time.monotonic() < deadline:
+            info = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            if info is None:
+                time.sleep(0.01)
+            else:
+                ended.append(info)
         return cell
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline, "_grid_cell", die_outside_the_caller)
     path = tmp_path / "three_cells.json"
     path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3], ["linear", 4]]}))
@@ -625,14 +626,31 @@ def test_a_dead_worker_ends_the_map_before_the_callers_next_call(capsys, tmp_pat
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("worker failure: ")
-    assert multiprocessing.active_children() == []
-    assert len(futures) == 1 and futures[0].done()
+    assert "killed by signal 9" in err[0]
+    assert_no_child()
+    assert len(ended) == 1
+    assert (ended[0].si_code, ended[0].si_status) == (os.CLD_KILLED, signal.SIGKILL)
     assert ran == [2]  # the caller's second cell never ran
 
 
 NUMPY_MA_PROBE = """
 import json
+import os
 import sys
+
+# two processes: one BLAS thread, set before numpy loads, and two usable cores
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+real_fork = os.fork
+
+
+def counted_fork():
+    forks.append(None)
+    return real_fork()
+
+
+os.fork = counted_fork
 
 import numpy
 
@@ -643,20 +661,25 @@ data, config, out = sys.argv[1:]
 argv = ["run", "--dataset", "heart", "--data-path", data, "--config", config, "--out", out]
 assert cli.main(argv) == 0
 assert cli.main(["report", "--manifest", out + "/manifest.json", "--out", out + "/report"]) == 0
-print(json.dumps([bare, "numpy.ma" in sys.modules]))
+pools = sorted(name for name in sys.modules
+               if name.split(".")[0] == "multiprocessing" or name.startswith("concurrent.futures"))
+print(json.dumps([bare, "numpy.ma" in sys.modules, len(forks), pools]))
 """
 
 
 def test_run_and_report_never_load_numpy_ma(tmp_path, heart_path, fast_config):
     # numpy 2 loads numpy.ma, about a megabyte, the first time np.median or a
-    # plain np.unique runs; numpy 1.x loads it with numpy itself
+    # plain np.unique runs; numpy 1.x loads it with numpy itself. The run is
+    # dealt over two processes, and the map loads no process pool either.
     src = str(Path(shapgate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_MA_PROBE, heart_path, fast_config, str(tmp_path / "out")],
         env=env, check=True, capture_output=True, text=True, timeout=300,
     )
-    bare, loaded = json.loads(done.stdout.splitlines()[-1])
+    bare, loaded, forks, pools = json.loads(done.stdout.splitlines()[-1])
+    assert forks >= 1  # the variants map ran on two processes
+    assert pools == []
     if bare:
         pytest.skip("a bare import numpy loads numpy.ma")
     assert not loaded

@@ -8,10 +8,12 @@ cluster structure IS the label so the recovered k is known in advance.
 """
 
 import contextlib
+import errno
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import plain_batch
+from oracles import assert_no_child, plain_batch
 from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline
 from shapgate.errors import DataError, UsageError, WorkerDiedError
 
@@ -625,29 +627,78 @@ def test_default_blas_threads_run_in_this_process(diabetes_path, monkeypatch):
     assert len(record.grid_cells) == 2 and len(record.variants) == 4
 
 
-def test_a_pool_broken_at_a_later_submit_raises_worker_died_error(monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    real_submit = ProcessPoolExecutor.submit
-    submitted = []
-
-    def break_at_the_second_submit(pool, *args):
-        # as when a worker dies while later shares are still being queued
-        submitted.append(args)
-        if len(submitted) == 2:
-            raise BrokenProcessPool("a worker died")
-        return real_submit(pool, *args)
-
-    # three processes: three usable cores, one BLAS thread each
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+def deal_over(monkeypatch, processes):
+    """Deal maps over `processes` processes: that many usable cores, one
+    BLAS thread each."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)),
+                        raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", break_at_the_second_submit)
-    with pytest.raises(WorkerDiedError) as raised:
+
+
+def test_a_fork_that_fails_raises_worker_died_error(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fail_at_the_second_fork():
+        # as when the system runs out of processes
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    deal_over(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fail_at_the_second_fork)
+    with pytest.raises(WorkerDiedError, match="could not be started") as raised:
         pipeline._map(lambda i: i, [(i,) for i in range(6)])
-    assert isinstance(raised.value.__cause__, BrokenProcessPool)
-    assert len(submitted) == 2
-    assert multiprocessing.active_children() == []
+    assert isinstance(raised.value.__cause__, OSError)
+    assert raised.value.__cause__.errno == errno.EAGAIN
+    assert len(forks) == 2
+    assert_no_child()  # the worker already started was killed and reaped
+
+
+def test_a_result_a_worker_cannot_pickle_names_it(monkeypatch):
+    deal_over(monkeypatch, 2)
+    with pytest.raises(pickle.PicklingError, match="could not send back its results") as raised:
+        pipeline._map(lambda i: (lambda: i), [(i,) for i in range(4)])
+    assert "lambda" in str(raised.value)
+    assert "Traceback (most recent call last)" in str(raised.value.__cause__)
+    assert_no_child()
+
+
+def test_an_exception_a_worker_cannot_pickle_names_it(monkeypatch):
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def raise_in_the_worker(i):
+        if i % 2:
+            raise Unpicklable("raised in the worker")
+        return i
+
+    deal_over(monkeypatch, 2)
+    with pytest.raises(pickle.PicklingError, match="raised in the worker") as raised:
+        pipeline._map(raise_in_the_worker, [(i,) for i in range(4)])
+    # the cause holds the worker's own traceback and the pickling failure's
+    cause = str(raised.value.__cause__)
+    assert "in raise_in_the_worker" in cause and "Unpicklable: raised in the worker" in cause
+    assert cause.count("Traceback (most recent call last)") == 2
+    assert_no_child()
+
+
+def test_a_keyboard_interrupt_in_the_callers_share_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+
+    def interrupt_the_caller(i):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the worker is still running when the caller stops
+        return i
+
+    deal_over(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._map(interrupt_the_caller, [(i,) for i in range(2)])
+    assert time.monotonic() - started < 30
+    assert_no_child()
 
 
 def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
@@ -667,9 +718,11 @@ def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
     config = small_config(max_epochs=5)
     with pytest.raises(RuntimeError, match="not a shapgate error") as raised:
         pipeline.run_experiment(config, diabetes_path)
-    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"  # raised in the worker
-    assert multiprocessing.active_children() == []
+    # raised in the worker: the cause carries the worker's traceback
+    cause = str(raised.value.__cause__)
+    assert "in break_at_k3" in cause and "RuntimeError: not a shapgate error" in cause
+    assert_no_child()
     monkeypatch.setattr(network, "train", real_train)
     record = pipeline.run_experiment(config, diabetes_path)
     assert all(c.error is None for c in record.grid_cells)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
