@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gbm
+from . import gbm, seeds
 from .errors import DataError
 
 MAX_PATH_FEATURES = 12  # per-leaf unique-feature cap for the mask tables
@@ -72,7 +72,7 @@ def make_background(values, train_indices, seed):
     if train_indices.size == 0:
         raise DataError("background must be a non-empty (m, p) matrix")
     if train_indices.size > BACKGROUND_CAP:
-        rng = np.random.default_rng([seed, 0xB6])
+        rng = seeds.rng("background_subsample", seed)
         train_indices = np.sort(rng.choice(train_indices, size=BACKGROUND_CAP, replace=False))
     return Background(rows=np.asarray(values, dtype=np.float64)[train_indices])
 

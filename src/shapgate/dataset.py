@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, seeds
 from .errors import DataError, ParseError
 
 MISSING = "?"
@@ -383,7 +383,7 @@ def split_holdout(matrix, spec):
             f"a holdout of {n_test} of {n} rows gives class {empty[0]} no test row; "
             f"raise holdout_fraction"
         )
-    rng = np.random.default_rng([spec.seed, 0x5E1D])
+    rng = seeds.rng("holdout", spec.seed)
     test_parts, train_parts = [], []
     for cls in classes.tolist():
         members = np.flatnonzero(labels == cls)
@@ -412,7 +412,7 @@ def stratified_kfold(train_indices, labels, spec):
             raise DataError(
                 f"class {cls} has {cnt} training members; need at least n_folds+1 = {spec.n_folds + 1}"
             )
-    rng = np.random.default_rng([spec.seed, 0xF01D])
+    rng = seeds.rng("fold_deal", spec.seed)
     fold_of = np.empty(train_indices.size, dtype=np.intp)
     cursor = 0
     for cls, cnt in zip(classes.tolist(), counts.tolist()):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeds
 from .errors import DataError, NumericalError
 
 MAX_ITER = 300  # Lloyd steps per restart
@@ -294,7 +295,7 @@ def fit(vectors, k, spec, seed):
     best = None
     seen = {}
     for r in range(N_RESTARTS):
-        start = _greedy_seed_assignment(K, diag, k, np.random.default_rng([seed, 0xC1, r]))
+        start = _greedy_seed_assignment(K, diag, k, seeds.rng("restart", seed, r))
         run = _lloyd(K, diag, k, start, MAX_ITER, seen)
         if run is not None and (best is None or run[3] < best[3]):
             best = run

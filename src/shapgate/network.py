@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeds
 from .errors import DataError, NumericalError, TrainingDivergedError
 
 HIDDEN_SIZES = (50, 30)
@@ -100,7 +101,7 @@ def init_params(p, config, n_clusters):
 
     n_clusters is the width of the batch's one-hot block, 0 when it has none.
     """
-    rng = np.random.default_rng([config.seed, 0xA7])
+    rng = seeds.rng("network_init", config.seed)
     width = p + n_clusters
     h1, h2 = HIDDEN_SIZES
 
@@ -257,7 +258,7 @@ def train(train_batch, train_labels, val_batch, val_labels, config):
     train_losses = []
     val_losses = []
     for epoch in range(config.max_epochs):
-        order = np.random.default_rng([config.seed, 0xE0, epoch]).permutation(train_batch.n)
+        order = seeds.rng("epoch_shuffle", config.seed, epoch).permutation(train_batch.n)
         # shuffle once per epoch; each mini-batch is then a contiguous slice
         shuffled = train_batch.take(order)
         y_shuffled = y_train[order]

@@ -33,15 +33,15 @@ import os
 import pickle
 import signal
 import time
-import zlib
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import attribution, dataset, gbm, kernel_kmeans, metrics, network
+from . import attribution, dataset, gbm, kernel_kmeans, metrics, network, seeds
 from .errors import DataError, ShapgateError, UsageError, WorkerDiedError
+from .seeds import child_seed  # noqa: F401 (the benchmark reads pipeline.child_seed)
 
 # network wiring per variant: (gate source, cluster one-hot block), where the
 # gate source is "shap" (attribution rows), "noise" (fixed seeded vector) or
@@ -160,21 +160,6 @@ class ExperimentConfig:
             step_size=self.step_size, batch_size=self.batch_size,
             max_epochs=self.max_epochs, patience=self.patience, seed=seed,
         )
-
-
-def child_seed(master, *tags):
-    """Deterministic derived integer seed."""
-    return int(np.random.default_rng([master, *tags]).integers(2**63))
-
-
-def _name_tag(name):
-    """Stable integer tag for a string, so seeds follow content, not position.
-
-    Grid cells with identical (kernel, k) must produce identical results
-    wherever they sit in the grid, and a variant keeps its seed when the
-    variant subset changes.
-    """
-    return zlib.crc32(name.encode("utf-8"))
 
 
 def _processes():
@@ -350,7 +335,8 @@ def fit_core(prepared, config):
     X = prepared.matrix.values
     y = prepared.matrix.labels
     ens = gbm.fit(X[prepared.train_ids], y[prepared.train_ids], config.gbm_config)
-    bg = attribution.make_background(X, prepared.train_ids, seed=child_seed(config.master_seed, 1))
+    bg = attribution.make_background(X, prepared.train_ids,
+                                     seed=seeds.derive("background", config.master_seed))
     # one pass over train and test rows: a row's attributions depend only on
     # that row, the ensemble and the background
     rows = np.concatenate([prepared.train_ids, prepared.test_ids])
@@ -377,7 +363,7 @@ def _variant_batch(variant, net_seed, x, shap, onehot):
     """
     gate, cluster = VARIANT_WIRING[variant]
     if gate == "noise":
-        noise = np.random.default_rng([net_seed, 0xA7, 99]).standard_normal(x.shape[1])
+        noise = seeds.rng("attention_noise", net_seed).standard_normal(x.shape[1])
         shap = np.broadcast_to(noise, x.shape)
     return network.NetBatch(
         x=x, shap=None if gate == "none" else shap, onehot=onehot if cluster else None,
@@ -403,7 +389,7 @@ def _cv_folds(prepared, config):
     """The CV grid's (fit_rows, val_rows) folds of the training split."""
     return dataset.stratified_kfold(
         prepared.train_ids, prepared.matrix.labels,
-        dataset.SplitSpec(n_folds=config.n_folds, seed=child_seed(config.master_seed, 2)),
+        dataset.SplitSpec(n_folds=config.n_folds, seed=seeds.derive("folds", config.master_seed)),
     )
 
 
@@ -424,13 +410,14 @@ def _grid_cell(folds, spec, k, config):
     """The GridCell of one (kernel, k): the full variant's weighted F1 on each
     fold of the fold table. A cell stops at its first failed fold, keeping
     the F1 of the folds before it, a nan mean and the error."""
-    cell_tag = _name_tag(spec.label())
     fold_f1 = []
     try:
         for fold_id, ((x_fit, shap_fit, y_fit), (x_val, shap_val, y_val)) in enumerate(folds):
             model, val_assignment = _cluster_split(
-                shap_fit, shap_val, spec, k, child_seed(config.master_seed, 3, cell_tag, k, fold_id))
-            net_cfg = config.net_config(seed=child_seed(config.master_seed, 4, cell_tag, k, fold_id))
+                shap_fit, shap_val, spec, k,
+                seeds.derive("cv_cluster", config.master_seed, spec.label(), k, fold_id))
+            net_cfg = config.net_config(
+                seed=seeds.derive("cv_network", config.master_seed, spec.label(), k, fold_id))
             fit_batch = _variant_batch("full", net_cfg.seed, x_fit, shap_fit,
                                        kernel_kmeans.onehot(model.assignment, k))
             val_batch = _variant_batch("full", net_cfg.seed, x_val, shap_val,
@@ -479,7 +466,7 @@ def refit_clusters(core, spec, k, master_seed):
     out-of-sample assignment of the test rows.
     """
     return _cluster_split(core.shap_train.values, core.shap_test.values, spec, k,
-                          seed=child_seed(master_seed, 5))
+                          seed=seeds.derive("final_refit", master_seed))
 
 
 def _final_variant(variant, train_parts, test_parts, y_train, y_test, shap_hash, config):
@@ -487,7 +474,7 @@ def _final_variant(variant, train_parts, test_parts, y_train, y_test, shap_hash,
     evaluated on the holdout; parts are (x, shap, onehot) per split."""
     start = time.perf_counter()
     try:
-        net_cfg = config.net_config(seed=child_seed(config.master_seed, 6, _name_tag(variant)))
+        net_cfg = config.net_config(seed=seeds.derive("final_network", config.master_seed, variant))
         train_batch = _variant_batch(variant, net_cfg.seed, *train_parts)
         test_batch = _variant_batch(variant, net_cfg.seed, *test_parts)
         # final fit has no held-back fold: early stopping monitors training loss

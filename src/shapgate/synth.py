@@ -15,6 +15,7 @@ the genuine UCI files for any comparison against published numbers.
 
 import numpy as np
 
+from . import seeds
 from .dataset import SCHEMAS
 from .pipeline import atomic_open
 
@@ -193,7 +194,7 @@ def write_synthetic(dataset, path, seed):
 
     The file is written atomically: a failure leaves any previous file as it was."""
     gen = _GENERATORS[dataset]
-    rng = np.random.default_rng([seed, sum(map(ord, dataset))])
+    rng = seeds.rng("standin", seed, dataset)
     rows = gen(rng)
     sch = SCHEMAS[dataset]
     with atomic_open(path) as fh:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import shapgate
 from oracles import assert_no_child
-from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, synth
+from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, seeds, synth
 from shapgate.errors import TrainingDivergedError
 from shapgate.kernel_kmeans import KernelSpec
 
@@ -498,7 +498,7 @@ def test_cv_shows_error_of_cell_that_failed_after_a_fold(capsys, tmp_path, heart
                                                          monkeypatch):
     # the network of linear k=2 at fold 1 diverges, wherever its cell runs
     real_train = shapgate.network.train
-    failing_seed = pipeline.child_seed(0, 4, pipeline._name_tag("linear"), 2, 1)
+    failing_seed = pipeline.child_seed(0, 4, seeds.content_tag("linear"), 2, 1)
 
     def fail_second_fold(fit_batch, y_fit, val_batch, y_val, config):
         if config.seed == failing_seed:

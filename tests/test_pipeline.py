@@ -22,8 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_no_child, plain_batch
-from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline
-from shapgate.errors import DataError, UsageError, WorkerDiedError
+from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline, seeds
+from shapgate.errors import (DataError, ParseError, ShapgateError, TrainingDivergedError,
+                             UsageError, WorkerDiedError)
 
 SMALL_GRID = [
     (kernel_kmeans.KernelSpec("linear"), 2),
@@ -336,7 +337,7 @@ def test_simple_nn_path_is_plain_mlp(small_parts, small_record):
     X, y = prepared.matrix.values, prepared.matrix.labels
     tr, te = prepared.train_ids, prepared.test_ids
     net_cfg = config.net_config(
-        seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("simple_nn"))
+        seed=pipeline.child_seed(config.master_seed, 6, seeds.content_tag("simple_nn"))
     )
     train_batch = plain_batch(X[tr])
     fitted = network.train(train_batch, y[tr], train_batch, y[tr], net_cfg)
@@ -371,7 +372,7 @@ def _train_side_artifacts(config, path):
     spec, k = config.grid[grid_result.best_index]
     model, _ = pipeline.refit_clusters(core, spec, k, config.master_seed)
     net_cfg = config.net_config(
-        seed=pipeline.child_seed(config.master_seed, 6, pipeline._name_tag("full"))
+        seed=pipeline.child_seed(config.master_seed, 6, seeds.content_tag("full"))
     )
     X, y = prepared.matrix.values, prepared.matrix.labels
     tr = prepared.train_ids
@@ -681,6 +682,38 @@ def test_an_exception_a_worker_cannot_pickle_names_it(monkeypatch):
     cause = str(raised.value.__cause__)
     assert "in raise_in_the_worker" in cause and "Unpicklable: raised in the worker" in cause
     assert cause.count("Traceback (most recent call last)") == 2
+    assert_no_child()
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+# constructor arguments of the errors whose constructor is not Exception's
+ERROR_ARGS = {ParseError: [("bad cell", 3, 2), ("bad cell", 3)], TrainingDivergedError: [(7,)]}
+
+
+@pytest.mark.parametrize(("cls", "args"), [
+    (cls, args) for cls in _subclasses(ShapgateError) for args in ERROR_ARGS.get(cls, [("a message",)])
+])
+def test_every_package_error_survives_a_pickle_round_trip(cls, args):
+    # a worker's exception reaches the caller as a pickle
+    err = cls(*args)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == str(err) and vars(back) == vars(err)
+
+
+def test_a_parse_error_in_a_worker_is_raised_in_the_caller(monkeypatch):
+    def parse_in_the_worker(i):
+        if i % 2:
+            raise ParseError("bad cell", line=i, column=2)
+        return i
+
+    deal_over(monkeypatch, 2)
+    with pytest.raises(ParseError, match=r"bad cell \(line 1, column 2\)") as raised:
+        pipeline._map(parse_in_the_worker, [(i,) for i in range(4)])
+    assert (raised.value.line, raised.value.column) == (1, 2)
+    assert "in parse_in_the_worker" in str(raised.value.__cause__)
     assert_no_child()
 
 

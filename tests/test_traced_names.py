@@ -1,8 +1,9 @@
-"""The traced benchmark run (shapbench/spans.py) wraps shapgate functions by
-module attribute name; a renamed or deleted function, or a call that stops
-going through the module attribute, must fail here rather than skew the
-benchmark's counts."""
+"""The benchmark (shapbench/) calls shapgate by module attribute name, and
+its traced run (shapbench/spans.py) wraps shapgate functions by that name;
+a renamed or deleted function, or a call that stops going through the module
+attribute, must fail here rather than break or skew the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -13,13 +14,18 @@ import numpy as np
 from oracles import net_config, plain_batch
 from shapgate import kernel_kmeans, network
 
-SPANS = Path(__file__).resolve().parent.parent / "shapbench" / "spans.py"
+SHAPBENCH = Path(__file__).resolve().parent.parent / "shapbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"shapbench_{name}", SHAPBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_exists():
-    spec = importlib.util.spec_from_file_location("shapbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     missing = [
         f"{layer}.{name}"
         for layer, names in spans.TRACED.items()
@@ -27,6 +33,23 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"shapgate.{layer}"), name, None))
     ]
     assert spans.TRACED and not missing, f"traced names missing from shapgate: {missing}"
+
+
+def test_every_shapgate_attribute_the_workloads_read_exists():
+    """Each `<module>.<name>` that shapbench/workloads.py reads through a name
+    it imported from shapgate: the workloads call pipeline.child_seed and
+    the stage functions by these names."""
+    workloads = load("workloads")
+    tree = ast.parse((SHAPBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "shapgate"
+               for alias in node.names}
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(getattr(workloads, module), name))
+    assert modules and reads and not missing, f"read by the workloads, missing: {missing}"
 
 
 def counting(monkeypatch, module, name, calls):
