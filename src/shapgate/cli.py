@@ -8,8 +8,9 @@ Subcommands:
   report   re-render report files from a previously written manifest
   synth    write a synthetic stand-in data file in the published format
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
-4 a worker process died or could not be started.
+Exit codes: 0 success, 1 usage error (an output that cannot be written
+among them, which leaves the old outputs as they were), 2 data error,
+3 numerical failure, 4 a worker process died or could not be started.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import attribution, dataset, gbm, kernel_kmeans, metrics, pipeline, synth
-from .errors import DataError, NumericalError, UsageError, WorkerDiedError
+from .errors import DataError, ShapgateError, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +77,8 @@ def build_parser():
     sy = subs.add_parser("synth", help="write a synthetic stand-in data file")
     sy.add_argument("--dataset", required=True, choices=sorted(dataset.SCHEMAS))
     sy.add_argument("--out", required=True,
-                    help="output file, or an existing directory to receive "
-                         "the dataset's published filename")
+                    help="output file, or a directory (existing, or a name ending "
+                         "in a separator) to receive the dataset's published filename")
     sy.add_argument("--seed", type=int, default=synth.STANDIN_SEED)
 
     return parser
@@ -162,15 +163,19 @@ def _print_record(record):
                 f"{metric}={getattr(vr.report, metric):.3f}" for metric in metrics.REPORTED))
 
 
+def _write(out_dir, files):
+    for path in pipeline.write_files(out_dir, files):
+        print(f"wrote {path}")
+
+
 def cmd_run(args):
     config = load_config(args)
     path = dataset.resolve_data_path(config.dataset, args.data_path)
     records = pipeline.run_many(config, path)
     for record in records:
         _print_record(record)
-    written = pipeline.emit_report(records, args.out)
-    for w in written:
-        print(f"wrote {w}")
+    for written in pipeline.emit_report(records, args.out):
+        print(f"wrote {written}")
     return 0
 
 
@@ -189,9 +194,7 @@ def cmd_cv(args):
         for cell in result.cells:
             folds = ";".join(repr(v) for v in cell.fold_f1)
             lines.append(f"{cell.kernel},{cell.k},{cell.mean_f1!r},{folds},{cell.error or ''}")
-        path = pipeline.write_text(args.out, f"{config.dataset}_cv_grid.csv",
-                                   "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        _write(args.out, [(f"{config.dataset}_cv_grid.csv", "\n".join(lines) + "\n")])
     return 0
 
 
@@ -200,10 +203,8 @@ def cmd_explain(args):
     path = dataset.resolve_data_path(config.dataset, args.data_path)
     prepared = pipeline.prepare(config, path)
     core = pipeline.fit_core(prepared, config)
-    for split, sm in (("train", core.shap_train), ("test", core.shap_test)):
-        path = pipeline.write_text(args.out, f"{config.dataset}_shap_{split}.csv",
-                                   attribution.shap_matrix_to_csv(sm))
-        print(f"wrote {path}")
+    _write(args.out, [(f"{config.dataset}_shap_{split}.csv", attribution.shap_matrix_to_csv(sm))
+                      for split, sm in (("train", core.shap_train), ("test", core.shap_test))])
     print(f"base value {core.shap_train.base_value!r}")
     return 0
 
@@ -227,8 +228,7 @@ def cmd_cluster(args):
         lines.append(f"{row},test,{c}")
     sizes = ",".join(str(int(s)) for s in model.sizes)
     print(f"kernel={spec.label()} k={k} train cluster sizes [{sizes}]")
-    path = pipeline.write_text(args.out, f"{config.dataset}_clusters.csv", "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    _write(args.out, [(f"{config.dataset}_clusters.csv", "\n".join(lines) + "\n")])
     return 0
 
 
@@ -241,9 +241,8 @@ def cmd_report(args):
     except json.JSONDecodeError as e:
         raise DataError(f"manifest {args.manifest!r} is not valid JSON: {e}") from e
     records = pipeline.records_from_manifest(manifest)
-    written = pipeline.emit_report(records, args.out)
-    for w in written:
-        print(f"wrote {w}")
+    for written in pipeline.emit_report(records, args.out):
+        print(f"wrote {written}")
     return 0
 
 
@@ -251,13 +250,9 @@ def cmd_synth(args):
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     out = args.out
-    if os.path.isdir(out):
+    if os.path.isdir(out) or not os.path.basename(out):  # a directory, made if missing
         out = os.path.join(out, dataset.SCHEMAS[args.dataset].default_filename)
-    try:
-        path = synth.write_synthetic(args.dataset, out, seed=args.seed)
-    except OSError as e:
-        raise UsageError(f"cannot write {out!r}: {e}") from e
-    print(f"wrote {path}")
+    print(f"wrote {synth.write_synthetic(args.dataset, out, seed=args.seed)}")
     return 0
 
 
@@ -279,18 +274,9 @@ def main(argv=None):
         if args.command != "synth" and getattr(args, "out", None) is not None:
             pipeline.check_writable(args.out)
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except WorkerDiedError as e:
-        print(f"worker failure: {e}", file=sys.stderr)
-        return 4
+    except ShapgateError as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package.
 
-CLI exit codes map onto these: UsageError -> 1, DataError -> 2,
+Each class below the base carries its CLI exit code and stderr prefix, and a
+subclass inherits its parent's: UsageError -> 1, DataError -> 2,
 NumericalError -> 3, WorkerDiedError -> 4.
 
 A worker of a parallel map sends its exception back as a pickle, so each
@@ -10,15 +11,19 @@ arguments (__reduce__); the default pickle would call it with the message.
 
 
 class ShapgateError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raise one of its subclasses."""
 
 
 class UsageError(ShapgateError):
-    """Bad CLI arguments or inconsistent configuration."""
+    """Bad CLI arguments or configuration, or an output that cannot be written."""
+
+    exit_code, prefix = 1, "usage error"
 
 
 class DataError(ShapgateError):
     """Unparseable or invalid input data."""
+
+    exit_code, prefix = 2, "data error"
 
 
 class ParseError(DataError):
@@ -38,6 +43,8 @@ class ParseError(DataError):
 class NumericalError(ShapgateError):
     """Non-finite values or a diverging optimization."""
 
+    exit_code, prefix = 3, "numerical failure"
+
 
 class TrainingDivergedError(NumericalError):
     """Network training produced a non-finite loss."""
@@ -53,3 +60,5 @@ class TrainingDivergedError(NumericalError):
 class WorkerDiedError(ShapgateError):
     """A worker process of a parallel map could not be started, or ended
     before returning its share."""
+
+    exit_code, prefix = 4, "worker failure"

@@ -27,6 +27,7 @@ batch):
 
 import contextlib
 import copy
+import errno
 import json
 import math
 import os
@@ -756,22 +757,6 @@ def _median_record(records):
     return records[scored[(len(scored) - 1) // 2][1]]
 
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """Open a temp file beside `path` for writing and rename it into place
-    on a clean exit, so a crash never leaves a half-written file."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def check_writable(out_dir):
     """UsageError unless out_dir is a writable directory or can be made one.
 
@@ -790,22 +775,40 @@ def check_writable(out_dir):
         raise UsageError(f"output directory {out_dir!r} is not writable: {e}") from e
 
 
-def write_text(out_dir, name, text):
-    """Write text to out_dir/name atomically, making out_dir if needed;
-    return the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with atomic_open(path) as fh:
-        fh.write(text)
-    return path
+def write_files(out_dir, files):
+    """Write each (name, text) of files into out_dir whole or not at all, and
+    return the paths: every text goes to a temp file beside its target, and
+    only when all are written are they renamed into place, in list order.
+    Up to then an OSError, or a target that is a directory, is a UsageError.
+    No temp file is left either way."""
+    renames = []  # (temp file, target)
+    try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, text in files:
+                path = os.path.join(out_dir, name)
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+                renames.append((os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"), path))
+                with open(renames[-1][0], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        except OSError as e:  # its filename names the output
+            raise UsageError(f"output in {out_dir!r} is not writable: {e}") from e
+        for tmp, path in renames:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in renames:
+            with contextlib.suppress(OSError):  # renamed, or never made
+                os.remove(tmp)
+    return [path for _, path in renames]
 
 
 def emit_report(records, out_dir):
     """Write metrics CSVs, ROC CSVs, a Markdown summary, and a JSON manifest,
-    rendering them all first, so a record that cannot be rendered writes none."""
+    rendering them all first, so a record that cannot be rendered writes none,
+    then writing them whole or not at all, manifest last."""
     if not records:
         raise DataError("no records to report")
-    check_writable(out_dir)
 
     by_dataset = {}
     for record in records:
@@ -874,4 +877,4 @@ def emit_report(records, out_dir):
     files.append(("summary.md", "\n".join(summary_lines) + "\n"))
     files.append(("manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"))
-    return [write_text(out_dir, name, text) for name, text in files]
+    return write_files(out_dir, files)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, subcommand outputs, config precedence."""
 
 import copy
+import errno
 import json
 import os
 import signal
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import shapgate
 from oracles import assert_no_child
 from shapgate import cli, dataset, kernel_kmeans, metrics, pipeline, seeds, synth
-from shapgate.errors import TrainingDivergedError
+from shapgate.errors import (DataError, NumericalError, ParseError, TrainingDivergedError,
+                             UsageError, WorkerDiedError)
 from shapgate.kernel_kmeans import KernelSpec
 
 FAST = {
@@ -432,6 +434,61 @@ def test_numerical_failures_exit_3(monkeypatch, capsys, tmp_path, heart_path, fa
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("error", "code", "prefix"), [
+    (UsageError("u"), 1, "usage error"),
+    (DataError("d"), 2, "data error"),
+    (ParseError("bad cell", 3, 2), 2, "data error"),
+    (NumericalError("n"), 3, "numerical failure"),
+    (TrainingDivergedError(3), 3, "numerical failure"),
+    (WorkerDiedError("w"), 4, "worker failure"),
+])
+def test_each_package_error_exits_with_its_code_and_one_line(monkeypatch, capsys, error, code,
+                                                              prefix):
+    def boom(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "cv", boom)
+    assert cli.main(["cv", "--dataset", "heart"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+
+def test_run_into_an_output_that_is_a_directory_exits_1_and_changes_nothing(
+        capsys, tmp_path, heart_path, fast_config):
+    out = tmp_path / "results"
+    (out / "heart_roc_full.csv").mkdir(parents=True)
+    (out / "heart_metrics.csv").write_text("old\n")
+
+    def listing():
+        return sorted((str(p.relative_to(out)), p.is_dir() or p.read_bytes())
+                      for p in out.rglob("*"))
+
+    before = listing()
+    code = cli.main(["run", "--dataset", "heart", "--data-path", heart_path,
+                     "--config", fast_config, "--variant", "full", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "not writable" in err and "heart_roc_full.csv" in err
+    assert listing() == before
+
+
+def test_explain_that_fails_on_its_test_csv_writes_no_train_csv(capsys, tmp_path, heart_path,
+                                                               fast_config, monkeypatch):
+    real_open = open
+
+    def no_space_for_the_test_csv(path, *args, **kwargs):
+        if os.path.basename(path).startswith(".heart_shap_test.csv."):
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", no_space_for_the_test_csv, raising=False)
+    out = tmp_path / "shap"
+    assert cli.main(["explain", "--dataset", "heart", "--data-path", heart_path,
+                     "--config", fast_config, "--out", str(out)]) == 1
+    assert "not writable" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_synth_writes_parseable_file(capsys, tmp_path):
     out = tmp_path / "made.csv"
     assert cli.main(["synth", "--dataset", "diabetes", "--out", str(out)]) == 0
@@ -441,6 +498,12 @@ def test_synth_writes_parseable_file(capsys, tmp_path):
     # pointing --out at a directory uses the published filename
     assert cli.main(["synth", "--dataset", "heart", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "processed.cleveland.data").is_file()
+    # a missing directory is made, whether --out names it or a file in it
+    assert cli.main(["synth", "--dataset", "heart", "--out", str(tmp_path / "new") + os.sep]) == 0
+    assert cli.main(["synth", "--dataset", "heart", "--out", str(tmp_path / "a" / "b.csv")]) == 0
+    assert ((tmp_path / "new" / "processed.cleveland.data").read_bytes()
+            == (tmp_path / "a" / "b.csv").read_bytes()
+            == (tmp_path / "processed.cleveland.data").read_bytes())
     capsys.readouterr()
 
 

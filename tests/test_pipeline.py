@@ -7,7 +7,7 @@ byte-level file comparison; the blob test fabricates attribution vectors whose
 cluster structure IS the label so the recovered k is known in advance.
 """
 
-import contextlib
+import ast
 import errno
 import json
 import math
@@ -15,6 +15,7 @@ import os
 import pickle
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from oracles import assert_no_child, plain_batch
 from shapgate import attribution, dataset, gbm, kernel_kmeans, metrics, network, pipeline, seeds
 from shapgate.errors import (DataError, ParseError, ShapgateError, TrainingDivergedError,
                              UsageError, WorkerDiedError)
+
+PACKAGE = Path(pipeline.__file__).resolve().parent
 
 SMALL_GRID = [
     (kernel_kmeans.KernelSpec("linear"), 2),
@@ -526,27 +529,40 @@ def test_emit_report_unwritable_dir(tmp_path, small_record):
         pipeline.emit_report([small_record], blocker / "sub")
 
 
+class _HalfThenRaise:
+    """A file opened for writing whose write writes half its text, then
+    raises `error`."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise self.error
+
+
+def _fail_writing(monkeypatch, name, error):
+    """Make the writer's write of output `name` (its temp file) fail with
+    `error` halfway through."""
+    def open_failing(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _HalfThenRaise(fh, error) if os.path.basename(path).startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(pipeline, "open", open_failing, raising=False)
+
+
 def test_emit_report_crash_leaves_no_partial_file(tmp_path, small_record, monkeypatch):
     out = tmp_path / "out"
     pipeline.emit_report([small_record], out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    class HalfThenCrash:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            raise RuntimeError("crash while writing the manifest")
-
-    real_open = pipeline.atomic_open
-
-    @contextlib.contextmanager
-    def crash_on_manifest(path):
-        with real_open(path) as fh:
-            yield HalfThenCrash(fh) if os.path.basename(path) == "manifest.json" else fh
-
-    monkeypatch.setattr(pipeline, "atomic_open", crash_on_manifest)
+    _fail_writing(monkeypatch, "manifest.json", RuntimeError("crash while writing the manifest"))
     for target in (out, tmp_path / "fresh"):
         with pytest.raises(RuntimeError, match="crash while writing"):
             pipeline.emit_report([small_record], target)
@@ -558,6 +574,75 @@ def test_emit_report_crash_leaves_no_partial_file(tmp_path, small_record, monkey
     monkeypatch.undo()
     pipeline.emit_report([small_record], tmp_path / "fresh")
     assert {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()} == before
+
+
+def test_a_report_that_fails_at_any_file_leaves_the_old_one_whole(tmp_path, small_record,
+                                                                    monkeypatch):
+    # report B differs from report A in every file, so a file of B that
+    # reached the directory before the failure would show
+    variants = {name: replace(vr, report=replace(vr.report, f1=vr.report.f1 / 2,
+                                                 roc_points=[(0.0, 0.0), (1.0, 1.0)]))
+                for name, vr in small_record.variants.items()}
+    record_b = replace(small_record, master_seed=small_record.master_seed + 1, variants=variants)
+    out, out_b = tmp_path / "out", tmp_path / "b"
+    pipeline.emit_report([small_record], out)
+    report_a = {p.name: p.read_bytes() for p in out.iterdir()}
+    names = [os.path.basename(p) for p in pipeline.emit_report([record_b], out_b)]
+    report_b = {p.name: p.read_bytes() for p in out_b.iterdir()}
+    assert names[-1] == "manifest.json" and len(names) > 2
+    assert set(report_b) == set(report_a) and all(report_b[n] != report_a[n] for n in names)
+
+    for name in names:
+        _fail_writing(monkeypatch, name, OSError(errno.ENOSPC, "No space left on device"))
+        with pytest.raises(UsageError, match="not writable"):
+            pipeline.emit_report([record_b], out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == report_a, name
+        monkeypatch.undo()
+    pipeline.emit_report([record_b], out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == report_b
+
+
+def _is_file_write(call):
+    """An os.replace or os.rename call, a pathlib write_text or write_bytes
+    call, or an open call whose mode is not a read-only literal."""
+    f = call.func
+    if isinstance(f, ast.Attribute):
+        return ((isinstance(f.value, ast.Name) and f.value.id == "os"
+                 and f.attr in ("replace", "rename"))
+                or f.attr in ("write_text", "write_bytes"))
+    mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return (isinstance(f, ast.Name) and f.id == "open" and bool(mode)
+            and not (isinstance(mode[0], ast.Constant) and set(mode[0].value) <= set("rbt")))
+
+
+def _file_writes(tree):
+    """(innermost enclosing function, line) of each file write in tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function_of_child = child.name
+            else:
+                function_of_child = function
+                if isinstance(child, ast.Call) and _is_file_write(child):
+                    found.append((function, child.lineno))
+            visit(child, function_of_child)
+
+    visit(tree, None)
+    return found
+
+
+def test_files_are_written_only_through_write_files():
+    # check_writable's probe is the one other open for writing, and it
+    # leaves no file
+    found = {path.name: _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    stray = [f"{name}:{line} in {function}" for name, writes in found.items()
+             for function, line in writes if function not in ("write_files", "check_writable")]
+    assert not stray, f"files written outside pipeline.write_files: {stray}"
+    assert {function for function, _ in found["pipeline.py"]} == {"write_files",
+                                                                    "check_writable"}
 
 
 def test_emit_report_empty_records():
