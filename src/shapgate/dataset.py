@@ -8,6 +8,7 @@ standard scaling of continuous columns (population std, fit on training rows
 only) and one-hot encoding of categorical columns.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,11 +45,11 @@ def _diabetes_label(cell):
 def _heart_label(cell):
     # disease grades 1-4 collapse to 1
     try:
-        grade = int(float(cell))
+        grade = float(cell)
     except ValueError as e:
         raise DataError(f"unexpected heart label {cell!r}") from e
     if grade not in (0, 1, 2, 3, 4):
-        raise DataError(f"heart disease grade out of range: {cell!r}")
+        raise DataError(f"heart disease grade {cell!r} is not one of 0-4")
     return 1 if grade > 0 else 0
 
 
@@ -156,7 +157,6 @@ class FeatureMatrix:
 
 @dataclass(kw_only=True)
 class SplitSpec:
-    holdout_fraction: float = 0.2
     n_folds: int
     seed: int
 
@@ -190,6 +190,13 @@ def resolve_data_path(dataset, explicit):
     )
 
 
+def _is_finite_number(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def load_dataset(path, schema):
     """Parse a delimited UCI file into a RawTable with binarized labels."""
     if schema not in SCHEMAS:
@@ -197,50 +204,45 @@ def load_dataset(path, schema):
     sch = SCHEMAS[schema]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
-
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if not lines:
-        raise ParseError(f"{path} is empty", line=1)
-
-    start = 0
-    if sch.has_header:
-        header = [c.strip() for c in lines[0].split(",")]
-        if header != sch.column_names:
-            raise ParseError(
-                f"header mismatch for schema {schema!r}: got {header}", line=1
-            )
-        start = 1
-        if len(lines) == 1:
-            raise ParseError(f"{path} has a header but no data rows", line=2)
 
     n_cols = len(sch.column_names)
     label_idx = sch.column_kinds.index(LABEL)
+    header_line = None
     rows, labels = [], []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    # lines are numbered as read, so an error names the physical line
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() == "":
+            continue
         cells = [c.strip() for c in line.split(",")]
+        if sch.has_header and header_line is None:
+            if cells != sch.column_names:
+                raise ParseError(f"header mismatch for schema {schema!r}: got {cells}", line=lineno)
+            header_line = lineno
+            continue
         if len(cells) != n_cols:
             raise ParseError(
                 f"expected {n_cols} columns, got {len(cells)}", line=lineno, column=len(cells)
             )
         for col, (cell, kind) in enumerate(zip(cells, sch.column_kinds)):
-            if kind == CONTINUOUS and cell != MISSING:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric value {cell!r} in continuous column "
-                        f"{sch.column_names[col]!r}",
-                        line=lineno,
-                        column=col + 1,
-                    ) from None
+            if kind == CONTINUOUS and cell != MISSING and not _is_finite_number(cell):
+                raise ParseError(
+                    f"value {cell!r} in continuous column {sch.column_names[col]!r} "
+                    f"is not a finite number",
+                    line=lineno,
+                    column=col + 1,
+                )
         try:
             labels.append(sch.label_map(cells[label_idx]))
         except DataError as e:
             raise ParseError(str(e), line=lineno, column=label_idx + 1) from e
         rows.append([c for i, c in enumerate(cells) if i != label_idx])
+    if not rows:
+        if header_line is None:
+            raise ParseError(f"{path} is empty", line=1)
+        raise ParseError(f"{path} has a header but no data rows", line=header_line + 1)
 
     table = RawTable(
         rows=rows,
@@ -361,20 +363,14 @@ def _class_counts_for_test(labels, n_test):
     return dict(zip(classes.tolist(), base.tolist()))
 
 
-def split_holdout(matrix, spec):
+def split_holdout(matrix, holdout_fraction, seed):
     """Stratified train/test split; test size = round(holdout_fraction * n),
     with at least one test row per class."""
     labels = np.asarray(matrix.labels)
     n = labels.size
     if n < 10:
         raise DataError(f"need at least 10 rows to split, got {n}")
-    classes, counts = np.unique(labels, return_counts=True)
-    for cls, cnt in zip(classes, counts):
-        if cnt < spec.n_folds + 1:
-            raise DataError(
-                f"class {cls} has {cnt} members; need at least n_folds+1 = {spec.n_folds + 1}"
-            )
-    n_test = int(np.round(spec.holdout_fraction * n))
+    n_test = int(np.round(holdout_fraction * n))
     per_class = _class_counts_for_test(labels, n_test)
     # a holdout without both classes cannot be scored, so stop before any fit
     empty = [cls for cls, t in per_class.items() if t == 0]
@@ -383,12 +379,11 @@ def split_holdout(matrix, spec):
             f"a holdout of {n_test} of {n} rows gives class {empty[0]} no test row; "
             f"raise holdout_fraction"
         )
-    rng = seeds.rng("holdout", spec.seed)
+    rng = seeds.rng("holdout", seed)
     test_parts, train_parts = [], []
-    for cls in classes.tolist():
+    for cls, t in per_class.items():
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        t = per_class[cls]
         test_parts.append(members[:t])
         train_parts.append(members[t:])
     test_idx = np.sort(np.concatenate(test_parts))

@@ -319,11 +319,7 @@ def prepare(config, data_path):
     """Load, impute, split, and scale. Scaler parameters come from train rows only."""
     table = dataset.load_dataset(data_path, config.dataset)
     table, n_imputed = dataset.handle_missing(table)
-    split = dataset.SplitSpec(
-        holdout_fraction=config.holdout_fraction,
-        n_folds=config.n_folds, seed=config.master_seed,
-    )
-    train_ids, test_ids = dataset.split_holdout(table, split)
+    train_ids, test_ids = dataset.split_holdout(table, config.holdout_fraction, config.master_seed)
     matrix = dataset.fit_transform(table, train_ids)
     return PreparedData(
         dataset=config.dataset, matrix=matrix,
@@ -538,7 +534,8 @@ def select(config, data_path, chosen=None):
     grid's best cell, or the given (KernelSpec, k, selection_seed). A k
     outside [1, rows] can only fail, so before any fit it is a UsageError:
     grid k against the smallest CV fit fold, a given k against the training
-    split, which the final cluster refit uses."""
+    split, which the final cluster refit uses. The CV folds are dealt before
+    any fit too, so a class too small for them is a DataError first."""
     timings = {}
     start = time.perf_counter()
     prepared = prepare(config, data_path)

@@ -55,3 +55,17 @@ def tables(dataset_files):
         table, _ = ds.handle_missing(table)
         out[name] = table
     return out
+
+
+@pytest.fixture(scope="session")
+def heart_few_positives(dataset_files, tmp_path_factory):
+    """The heart file relabelled so that only its first five rows are positive.
+    The default holdout takes one of them, which leaves four training rows:
+    too few for five folds, enough to fit and explain."""
+    lines = Path(dataset_files["heart"][0]).read_text().split("\n")
+    rows = [ln.split(",") for ln in lines if ln.strip()]
+    for i, cells in enumerate(rows):
+        cells[-1] = "1" if i < 5 else "0"
+    path = tmp_path_factory.mktemp("few_positives") / "processed.cleveland.data"
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    return path

@@ -178,6 +178,43 @@ def test_holdout_missing_a_class_exits_2_before_fitting(capsys, tmp_path, heart_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", [14, 1], ids=["label", "age"])
+def test_a_non_finite_cell_exits_2_with_one_line_naming_it(capsys, tmp_path, heart_path,
+                                                           fast_config, column):
+    lines = Path(heart_path).read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[column - 1] = "inf"
+    lines[2] = ",".join(cells)
+    path = tmp_path / "processed.cleveland.data"
+    path.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(["explain", "--dataset", "heart", "--data-path", str(path),
+                     "--config", fast_config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.endswith(f"(line 3, column {column})\n")
+    assert not out.exists()
+
+
+def test_a_class_too_small_for_the_folds_fails_only_the_commands_that_fold(
+        capsys, tmp_path, heart_few_positives, fast_config, monkeypatch):
+    common = ["--dataset", "heart", "--data-path", str(heart_few_positives),
+              "--config", fast_config]
+    assert cli.main(["explain", *common, "--out", str(tmp_path / "explain")]) == 0
+    assert cli.main(["cluster", *common, "--kernel", "linear", "--k", "2",
+                     "--out", str(tmp_path / "cluster")]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the fold check")
+
+    monkeypatch.setattr(shapgate.gbm, "fit", no_fit)
+    capsys.readouterr()
+    assert cli.main(["cv", *common, "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: class 1 has 4 training members; need at least n_folds+1 = 6\n"
+    assert not (tmp_path / "cv").exists()
+
+
 def test_manifest_of_the_wrong_shape_exits_2(capsys, tmp_path):
     for i, manifest in enumerate([[], {"runs": [{}]}, {"runs": "abc"}]):
         path = tmp_path / f"manifest{i}.json"

@@ -70,6 +70,75 @@ def test_heart_label_binarization(tmp_path):
     assert table.labels == [0, 1, 1, 1, 1] * 3
 
 
+SWEEP_VALUES = ["inf", "-inf", "nan", "1e309", "1.7", "-1", "", " "]
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES, ids=repr)
+@pytest.mark.parametrize("name", ["diabetes", "heart", "credit"])
+def test_one_bad_cell_loads_or_is_a_parse_error_at_its_line(tmp_path, dataset_files, name, value):
+    # every column of one data row in turn; a numpy warning fails the test
+    lines = dataset_files[name][0].read_text().split("\n")
+    lineno = 3 + ds.SCHEMAS[name].has_header  # physical line of the third data row
+    cells = lines[lineno - 1].split(",")
+    path = tmp_path / ds.SCHEMAS[name].default_filename
+    for col, kind in enumerate(ds.SCHEMAS[name].column_kinds):
+        edited = cells[:col] + [value] + cells[col + 1:]
+        path.write_text("\n".join(lines[:lineno - 1] + [",".join(edited)] + lines[lineno:]))
+        fault = kind == ds.LABEL or (kind == ds.CONTINUOUS and value not in ("1.7", "-1"))
+        try:
+            table, _ = ds.handle_missing(ds.load_dataset(path, name))
+            ds.fit_transform(table, range(table.n_rows))
+        except ParseError as e:
+            assert fault and (e.line, e.column) == (lineno, col + 1), (col, value, e)
+        else:
+            assert not fault, (col, value)
+
+
+def test_heart_grade_must_be_an_integer_from_0_to_4(tmp_path):
+    row = "63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0"
+    p = tmp_path / "h.data"
+    p.write_text(f"{row},0\n{row},4.0\n")
+    assert ds.load_dataset(p, "heart").labels == [0, 1]
+    p.write_text(f"{row},0\n{row},4\n{row},-0.5\n")  # not truncated to grade 0
+    with pytest.raises(ParseError, match=r"is not one of 0-4 \(line 3, column 14\)"):
+        ds.load_dataset(p, "heart")
+
+
+def test_parse_errors_name_the_physical_line(tmp_path):
+    row = "63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0,0"
+    p = tmp_path / "h.data"
+    p.write_text("\n".join([row, row, row, "", "  ", row, "63.0,1.0", row]) + "\n")
+    with pytest.raises(ParseError) as raised:
+        ds.load_dataset(p, "heart")
+    assert raised.value.line == 7
+
+
+def test_a_blank_first_line_keeps_the_diabetes_lines_physical(tmp_path, dataset_files):
+    lines = dataset_files["diabetes"][0].read_text().split("\n")
+    p = tmp_path / "d.csv"
+    p.write_text("\n".join([""] + lines))
+    assert ds.load_dataset(p, "diabetes") == ds.load_dataset(dataset_files["diabetes"][0], "diabetes")
+    p.write_text("\n".join(["", "Age," + lines[0]] + lines[1:]))
+    with pytest.raises(ParseError, match="header mismatch") as raised:
+        ds.load_dataset(p, "diabetes")
+    assert raised.value.line == 2
+    p.write_text("\n".join(["", lines[0], lines[1], "40,Male"] + lines[2:]))
+    with pytest.raises(ParseError, match="expected 17 columns") as raised:
+        ds.load_dataset(p, "diabetes")
+    assert raised.value.line == 4
+    p.write_text("\n" + lines[0] + "\n\n")
+    with pytest.raises(ParseError, match="no data rows") as raised:
+        ds.load_dataset(p, "diabetes")
+    assert raised.value.line == 3
+
+
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    p = tmp_path / "h.data"
+    p.write_bytes(b"63.0,1.0,\xff\n")
+    with pytest.raises(DataError, match="cannot read"):
+        ds.load_dataset(p, "heart")
+
+
 # ---------------------------------------------------------------- missing
 
 def test_handle_missing_identity():
@@ -179,7 +248,7 @@ def test_holdout_sizes_at_303():
     rng = np.random.default_rng(1)
     labels = rng.permutation(np.array([1] * 139 + [0] * 164))
     fm = _matrix_with_labels(labels)
-    train, test = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=3))
+    train, test = ds.split_holdout(fm, 0.2, 3)
     assert test.size == 61 and train.size == 242
     # class ratio preserved within one row
     global_pos = labels.sum() / labels.size
@@ -188,35 +257,44 @@ def test_holdout_sizes_at_303():
 
 def test_holdout_minimum_stratification():
     fm = _matrix_with_labels([0, 1] * 5)
-    spec = ds.SplitSpec(n_folds=3, seed=0)
-    train, test = ds.split_holdout(fm, spec)
+    train, test = ds.split_holdout(fm, 0.2, 0)
     assert test.size == 2
     assert fm.labels[test].sum() == 1
 
 
 def test_holdout_determinism_and_partition():
     fm = _matrix_with_labels([0, 1] * 30)
-    a = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=7))
-    b = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=7))
+    a = ds.split_holdout(fm, 0.2, 7)
+    b = ds.split_holdout(fm, 0.2, 7)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
     merged = np.sort(np.concatenate(a))
     np.testing.assert_array_equal(merged, np.arange(60))
-    c = ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=8))
+    c = ds.split_holdout(fm, 0.2, 8)
     assert not np.array_equal(a[1], c[1])
 
 
 def test_tiny_class_rejected():
+    # five training rows of class 1 cannot fill five folds and leave each a fit row
+    labels = np.asarray([0] * 20 + [1] * 5)
+    with pytest.raises(DataError, match="class 1 has 5 training members; need at least n_folds"):
+        ds.stratified_kfold(np.arange(25), labels, ds.SplitSpec(n_folds=5, seed=0))
+    ds.stratified_kfold(np.arange(25), labels, ds.SplitSpec(n_folds=4, seed=0))
+
+
+def test_holdout_accepts_a_class_too_small_for_the_folds():
+    # the fold count is the fold deal's rule, checked only where folds are dealt
     fm = _matrix_with_labels([0] * 20 + [1] * 4)
-    with pytest.raises(DataError, match="n_folds"):
-        ds.split_holdout(fm, ds.SplitSpec(n_folds=5, seed=0))
+    train, test = ds.split_holdout(fm, 0.2, 0)
+    assert fm.labels[test].tolist() == [0, 0, 0, 0, 1]
+    assert fm.labels[train].sum() == 3
 
 
 @pytest.mark.parametrize("fraction", [0.001, 1 / 60], ids=["no_test_row", "one_test_row"])
 def test_holdout_without_every_class_rejected(fraction):
     fm = _matrix_with_labels([0, 1] * 30)
     with pytest.raises(DataError, match="no test row"):
-        ds.split_holdout(fm, ds.SplitSpec(holdout_fraction=fraction, n_folds=5, seed=0))
+        ds.split_holdout(fm, fraction, 0)
 
 
 def test_kfold_exact_divisibility():

@@ -151,6 +151,22 @@ def test_grid_k_outside_fit_fold_stops_before_fitting(diabetes_path, monkeypatch
             pipeline.run_experiment(small_config(grid=[(spec, 2), (spec, k)]), diabetes_path)
 
 
+def test_a_class_too_small_for_the_folds_stops_cv_before_fitting(heart_few_positives,
+                                                                  monkeypatch):
+    config = small_config(dataset="heart", gbm_config=gbm.GbmConfig(n_trees=5))
+    prepared = pipeline.prepare(config, heart_few_positives)
+    y = prepared.matrix.labels
+    assert (y[prepared.train_ids].sum(), y[prepared.test_ids].sum()) == (4, 1)
+    pipeline.fit_core(prepared, config)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("gbm.fit ran before the fold check")
+
+    monkeypatch.setattr(pipeline.gbm, "fit", no_fit)
+    with pytest.raises(DataError, match="class 1 has 4 training members"):
+        pipeline.select(config, heart_few_positives)
+
+
 # ------------------------------------------------------------ run records
 
 def test_run_record_shape(small_record):
