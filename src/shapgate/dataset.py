@@ -10,7 +10,8 @@ only) and one-hot encoding of categorical columns.
 
 import math
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,18 +135,14 @@ SCHEMAS = {
 
 @dataclass
 class RawTable:
-    rows: list[list[str]]  # feature cells as strings, label already stripped
+    columns: list[list[str]]  # one list of feature cells as strings per column, label stripped
     labels: list[int]  # binarized
-    column_names: list[str]  # feature columns only
+    column_names: list[str]  # feature columns only, parallel to columns
     column_kinds: list[str]  # continuous | categorical, parallel to names
 
     @property
     def n_rows(self):
-        return len(self.rows)
-
-    @property
-    def n_columns(self):
-        return len(self.column_names)
+        return len(self.labels)
 
 
 @dataclass
@@ -210,8 +207,9 @@ def load_dataset(path, schema):
 
     n_cols = len(sch.column_names)
     label_idx = sch.column_kinds.index(LABEL)
+    feature_idx = [i for i in range(n_cols) if i != label_idx]
     header_line = None
-    rows, labels = [], []
+    columns, labels = [[] for _ in feature_idx], []
     # lines are numbered as read, so an error names the physical line
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
@@ -238,17 +236,18 @@ def load_dataset(path, schema):
             labels.append(sch.label_map(cells[label_idx]))
         except DataError as e:
             raise ParseError(str(e), line=lineno, column=label_idx + 1) from e
-        rows.append([c for i, c in enumerate(cells) if i != label_idx])
-    if not rows:
+        for column, i in zip(columns, feature_idx):
+            column.append(cells[i])
+    if not labels:
         if header_line is None:
             raise ParseError(f"{path} is empty", line=1)
         raise ParseError(f"{path} has a header but no data rows", line=header_line + 1)
 
     table = RawTable(
-        rows=rows,
+        columns=columns,
         labels=labels,
-        column_names=[c for c, k in zip(sch.column_names, sch.column_kinds) if k != LABEL],
-        column_kinds=[k for k in sch.column_kinds if k != LABEL],
+        column_names=[sch.column_names[i] for i in feature_idx],
+        column_kinds=[sch.column_kinds[i] for i in feature_idx],
     )
     distinct = set(table.labels)
     if len(distinct) != 2:
@@ -263,35 +262,22 @@ def handle_missing(table):
     the input table is not modified.
     """
     n_imputed = 0
-    new_rows = [list(r) for r in table.rows]
-    for col in range(table.n_columns):
-        cells = [r[col] for r in table.rows]
+    columns = []
+    for name, kind, cells in zip(table.column_names, table.column_kinds, table.columns):
         present = [c for c in cells if c != MISSING]
         if not present:
-            raise DataError(f"column {table.column_names[col]!r} is entirely missing")
+            raise DataError(f"column {name!r} is entirely missing")
         n_missing = len(cells) - len(present)
-        if n_missing == 0:
-            continue
-        if table.column_kinds[col] == CONTINUOUS:
-            fill = format(metrics.median([float(c) for c in present]), ".10g")
-        else:
-            # mode; ties broken by first appearance for determinism
-            counts = {}
-            for c in present:
-                counts[c] = counts.get(c, 0) + 1
-            best = max(counts.values())
-            fill = next(c for c in present if counts[c] == best)
-        for r in new_rows:
-            if r[col] == MISSING:
-                r[col] = fill
-                n_imputed += 1
-    out = RawTable(
-        rows=new_rows,
-        labels=list(table.labels),
-        column_names=list(table.column_names),
-        column_kinds=list(table.column_kinds),
-    )
-    return out, n_imputed
+        if n_missing:
+            if kind == CONTINUOUS:
+                fill = format(metrics.median([float(c) for c in present]), ".10g")
+            else:
+                counts = Counter(present)
+                fill = max(counts, key=counts.get)  # mode; the first level to appear wins a tie
+            cells = [fill if c == MISSING else c for c in cells]
+            n_imputed += n_missing
+        columns.append(cells)
+    return replace(table, columns=columns), n_imputed
 
 
 def fit_transform(table, training_row_ids):
@@ -309,37 +295,31 @@ def fit_transform(table, training_row_ids):
     n = table.n_rows
     blocks = []
     feature_names = []
-    for col in range(table.n_columns):
-        name = table.column_names[col]
-        cells = [r[col] for r in table.rows]
+    for name, kind, cells in zip(table.column_names, table.column_kinds, table.columns):
         if MISSING in cells:
             raise DataError(f"column {name!r} still contains missing cells; run handle_missing first")
-        if table.column_kinds[col] == CONTINUOUS:
+        if kind == CONTINUOUS:
             vals = np.asarray([float(c) for c in cells], dtype=np.float64)
             train_vals = vals[train_ids]
-            mean = float(np.mean(train_vals))
-            std = float(np.std(train_vals))  # population
-            if std == 0.0:
-                raise DataError(f"continuous column {name!r} has zero variance on training rows")
-            blocks.append(((vals - mean) / std)[:, None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(np.mean(train_vals))
+                std = float(np.std(train_vals))  # population
+                if std == 0.0:
+                    raise DataError(f"continuous column {name!r} has zero variance on training rows")
+                scaled = (vals - mean) / std
+            if not (math.isfinite(mean) and math.isfinite(std) and np.isfinite(scaled).all()):
+                raise DataError(f"continuous column {name!r} overflows when scaled")
+            blocks.append(scaled[:, None])
             feature_names.append(name)
         else:
-            levels = []
-            for c in cells:
-                if c not in levels:
-                    levels.append(c)
-            onehot = np.zeros((n, len(levels)), dtype=np.float64)
-            level_pos = {lv: j for j, lv in enumerate(levels)}
-            for i, c in enumerate(cells):
-                onehot[i, level_pos[c]] = 1.0
+            level_pos = {lv: j for j, lv in enumerate(dict.fromkeys(cells))}
+            onehot = np.zeros((n, len(level_pos)), dtype=np.float64)
+            onehot[np.arange(n), [level_pos[c] for c in cells]] = 1.0
             blocks.append(onehot)
-            feature_names.extend(f"{name}={lv}" for lv in levels)
+            feature_names.extend(f"{name}={lv}" for lv in level_pos)
 
-    values = np.hstack(blocks)
-    if not np.all(np.isfinite(values)):
-        raise DataError("non-finite entries after preprocessing")
     return FeatureMatrix(
-        values=values,
+        values=np.hstack(blocks),
         labels=np.asarray(table.labels, dtype=np.int64),
         feature_names=feature_names,
     )

@@ -301,7 +301,6 @@ def _map(fn, calls):
 
 @dataclass
 class PreparedData:
-    dataset: str
     matrix: dataset.FeatureMatrix
     train_ids: np.ndarray
     test_ids: np.ndarray
@@ -321,10 +320,7 @@ def prepare(config, data_path):
     table, n_imputed = dataset.handle_missing(table)
     train_ids, test_ids = dataset.split_holdout(table, config.holdout_fraction, config.master_seed)
     matrix = dataset.fit_transform(table, train_ids)
-    return PreparedData(
-        dataset=config.dataset, matrix=matrix,
-        train_ids=train_ids, test_ids=test_ids, n_imputed=n_imputed,
-    )
+    return PreparedData(matrix=matrix, train_ids=train_ids, test_ids=test_ids, n_imputed=n_imputed)
 
 
 def fit_core(prepared, config):

@@ -196,6 +196,23 @@ def test_a_non_finite_cell_exits_2_with_one_line_naming_it(capsys, tmp_path, hea
     assert not out.exists()
 
 
+def test_a_column_that_overflows_when_scaled_exits_2_with_one_line_naming_it(
+        capsys, tmp_path, heart_path, fast_config):
+    # 1e200 is finite, but its square overflows the training std
+    lines = Path(heart_path).read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[0] = "1e200"
+    lines[2] = ",".join(cells)
+    path = tmp_path / "processed.cleveland.data"
+    path.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(["explain", "--dataset", "heart", "--data-path", str(path),
+                     "--config", fast_config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: continuous column 'age' overflows when scaled\n"
+    assert not out.exists()
+
+
 def test_a_class_too_small_for_the_folds_fails_only_the_commands_that_fold(
         capsys, tmp_path, heart_few_positives, fast_config, monkeypatch):
     common = ["--dataset", "heart", "--data-path", str(heart_few_positives),
@@ -530,7 +547,7 @@ def test_synth_writes_parseable_file(capsys, tmp_path):
     out = tmp_path / "made.csv"
     assert cli.main(["synth", "--dataset", "diabetes", "--out", str(out)]) == 0
     table = dataset.load_dataset(out, "diabetes")
-    assert len(table.rows) == 520
+    assert table.n_rows == 520
 
     # pointing --out at a directory uses the published filename
     assert cli.main(["synth", "--dataset", "heart", "--out", str(tmp_path)]) == 0

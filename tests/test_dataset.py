@@ -1,14 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from shapgate import dataset as ds
+from shapgate import synth
 from shapgate.errors import DataError, ParseError
 
 
 def _toy_table(rows, kinds, names=None, labels=None):
+    """A RawTable from row-major cells, which read more easily in a test."""
     names = names or [f"c{i}" for i in range(len(kinds))]
     return ds.RawTable(
-        rows=[list(r) for r in rows],
+        columns=[list(c) for c in zip(*rows)],
         labels=labels if labels is not None else [0, 1] * (len(rows) // 2) + [0] * (len(rows) % 2),
         column_names=names,
         column_kinds=kinds,
@@ -21,7 +25,8 @@ def test_load_diabetes_shape(dataset_files):
     path, _ = dataset_files["diabetes"]
     table = ds.load_dataset(path, "diabetes")
     assert table.n_rows == 520
-    assert table.n_columns == 16
+    assert len(table.columns) == len(table.column_names) == 16
+    assert all(len(c) == 520 for c in table.columns)
     assert set(table.labels) == {0, 1}
 
 
@@ -29,7 +34,7 @@ def test_load_heart_shape(dataset_files):
     path, _ = dataset_files["heart"]
     table = ds.load_dataset(path, "heart")
     assert table.n_rows == 303
-    assert table.n_columns == 13
+    assert len(table.columns) == len(table.column_names) == 13
 
 
 def test_load_credit_shape(dataset_files):
@@ -37,7 +42,7 @@ def test_load_credit_shape(dataset_files):
     table = ds.load_dataset(path, "credit")
     assert table.n_rows == 690
     # the published file has 15 feature columns (A1-A15)
-    assert table.n_columns == 15
+    assert len(table.columns) == len(table.column_names) == 15
 
 
 def test_empty_file_is_parse_error(tmp_path):
@@ -145,21 +150,28 @@ def test_handle_missing_identity():
     t = _toy_table([["a", "1"], ["b", "2"], ["a", "3"], ["a", "4"]], ["categorical", "continuous"])
     out, n = ds.handle_missing(t)
     assert n == 0
-    assert out.rows == t.rows
+    assert out.columns == t.columns
 
 
 def test_mode_imputation_forced():
     t = _toy_table([["a"], ["a"], ["b"], ["?"]], ["categorical"])
     out, n = ds.handle_missing(t)
     assert n == 1
-    assert out.rows[3] == ["a"]
+    assert out.columns == [["a", "a", "b", "a"]]
+
+
+def test_mode_tie_goes_to_the_first_level_to_appear():
+    t = _toy_table([["b"], ["a"], ["a"], ["b"], ["?"]], ["categorical"])
+    out, n = ds.handle_missing(t)
+    assert n == 1
+    assert out.columns == [["b", "a", "a", "b", "b"]]
 
 
 def test_median_imputation_forced():
     t = _toy_table([["1"], ["3"], ["?"], ["5"]], ["continuous"])
     out, n = ds.handle_missing(t)
     assert n == 1
-    assert float(out.rows[2][0]) == 3.0
+    assert float(out.columns[0][2]) == 3.0
 
 
 def test_entirely_missing_column_rejected():
@@ -171,7 +183,7 @@ def test_entirely_missing_column_rejected():
 def test_input_table_not_mutated():
     t = _toy_table([["a"], ["?"]], ["categorical"])
     ds.handle_missing(t)
-    assert t.rows[1] == ["?"]
+    assert t.columns == [["a", "?"]]
 
 
 # ---------------------------------------------------------------- fit_transform
@@ -210,6 +222,19 @@ def test_zero_variance_column_named():
         ds.fit_transform(t, [0, 1, 2])
 
 
+@pytest.mark.parametrize("cells, train", [
+    (["1e200", "-1e200", "3"], [0, 1, 2]),
+    (["1e308", "1e308", "0"], [0, 1, 2]),
+    (["0", "1", "1e308"], [0, 1]),
+], ids=["training_std", "training_mean", "held_out_row"])
+def test_a_column_that_overflows_when_scaled_is_named(cells, train):
+    # a numpy overflow warning fails the test
+    t = _toy_table([[str(i), c] for i, c in enumerate(cells)], ["continuous", "continuous"],
+                   names=["ok", "big"], labels=[0, 1, 0])
+    with pytest.raises(DataError, match="^continuous column 'big' overflows when scaled$"):
+        ds.fit_transform(t, train)
+
+
 def test_roundtrip_train_mean_std(tables):
     for name, table in tables.items():
         n = table.n_rows
@@ -233,6 +258,29 @@ def test_onehot_groups_sum_to_one(tables):
             groups.setdefault(src, []).append(j)
     for cols in groups.values():
         np.testing.assert_array_equal(fm.values[:, cols].sum(axis=1), 1.0)
+
+
+# sha256 of values, labels, feature names and imputed-cell count for each
+# stand-in (STANDIN_SEED) after load, impute, holdout (0.2, seed 0) and scaling
+FRONT_END_DIGESTS = {
+    "diabetes": "66b7b07b47c6f08da3d88dfe7728e7b8e77181aef0a9eca9d68b73ef451cf3f4",
+    "heart": "8c611dd8e5e3bf119a946d6d85a4f04f308496e772ae032b14b1f5555f6d8268",
+    "credit": "0aecba05ebb57285777824c195e3ee4c2311c7b8a7eb45e029958f12f24998f3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_END_DIGESTS))
+def test_the_front_end_bytes_of_each_standin_are_pinned(tmp_path, name):
+    path = tmp_path / ds.SCHEMAS[name].default_filename
+    synth.write_synthetic(name, path, synth.STANDIN_SEED)
+    table, n_imputed = ds.handle_missing(ds.load_dataset(path, name))
+    train_ids, _ = ds.split_holdout(table, 0.2, 0)
+    fm = ds.fit_transform(table, train_ids)
+    digest = hashlib.sha256()
+    for part in (fm.values.tobytes(), fm.labels.tobytes(),
+                 "\n".join(fm.feature_names).encode(), str(n_imputed).encode()):
+        digest.update(part)
+    assert digest.hexdigest() == FRONT_END_DIGESTS[name]
 
 
 # ---------------------------------------------------------------- splits

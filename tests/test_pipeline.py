@@ -320,9 +320,7 @@ def test_cv_recovers_generating_k():
         feature_names=[f"f{i}" for i in range(6)],
     )
     prepared = pipeline.PreparedData(
-        dataset="diabetes", matrix=matrix,
-        train_ids=np.arange(labels.size), test_ids=np.arange(0),
-        n_imputed=0,
+        matrix=matrix, train_ids=np.arange(labels.size), test_ids=np.arange(0), n_imputed=0,
     )
     core = pipeline.FittedCore(
         ensemble=None,
