@@ -27,7 +27,9 @@ batch):
 
 import contextlib
 import copy
+import ctypes
 import errno
+import functools
 import json
 import math
 import os
@@ -163,19 +165,42 @@ class ExperimentConfig:
         )
 
 
+@functools.cache
+def _blas_threads():
+    """(get(), set(n)), the thread count functions of the OpenBLAS this
+    process has loaded, numpy's wheel's names first, or None where none is
+    found: another BLAS, or no /proc. The library is whichever mapped file
+    exports them, whatever its name; RTLD_NOLOAD opens only a library that
+    is loaded already."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # address perms offset device inode [path]
+            rows = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    libs = []
+    for path in dict.fromkeys(row[5] for row in rows if len(row) == 6):
+        with contextlib.suppress(OSError):
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+    for names in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                  ("openblas_get_num_threads", "openblas_set_num_threads")):
+        for lib in libs:
+            if all(hasattr(lib, name) for name in names):
+                get, set_ = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
 def _processes():
-    """How many processes a map deals its calls over: the usable cores over
-    the BLAS threads each process runs, so that the two together stay within
-    the cores. OpenBLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS,
-    and with neither set runs a thread per core, which leaves no core for a
-    second process. The outputs do not depend on the count."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        threads = os.environ.get(var, "")
-        if threads.isdigit() and int(threads) > 0:
-            return max(1, cores // int(threads))
-    return 1
+    """How many processes a map deals its calls over: one per usable core,
+    which _map pins to one BLAS thread each, or one where no OpenBLAS thread
+    setter is found. The outputs do not depend on the count."""
+    if _blas_threads() is None:
+        return 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 _in_map = False  # a map is in progress, in this process or in the one it was forked from
@@ -237,12 +262,16 @@ def _reap(pid, flags, running):
 def _map(fn, calls):
     """[fn(*args) for args in calls], in call order. The calls are dealt
     round-robin over this process, which works share 0, and forked workers,
-    _processes() in all. Each worker inherits fn and the calls through the
-    fork, works its share and writes back one pickle over a pipe of its own;
-    a spawned one would import numpy and the package again and be sent every
-    input. The deal is static, so a share holds the same calls on every run.
-    A map made inside another, here or in a worker, and every map where
-    os.fork is missing, runs in one process.
+    _processes() in all, at most one per call. Each worker inherits fn and
+    the calls through the fork, works its share and writes back one pickle
+    over a pipe of its own; a spawned one would import numpy and the package
+    again and be sent every input. The deal is static, so a share holds the
+    same calls on every run. A map made inside another, here or in a worker,
+    and every map where os.fork is missing, runs in one process.
+
+    A map over more than one process sets OpenBLAS to one thread before it
+    forks, so this process and every worker run one thread each, and gives
+    this process its own count back on every exit.
 
     After each of its own calls this process polls the workers, so one that
     dies, as under kill -9, raises WorkerDiedError at once; so does a worker
@@ -255,12 +284,15 @@ def _map(fn, calls):
     processes = 1 if _in_map or not hasattr(os, "fork") else min(_processes(), len(calls))
     if processes <= 1:
         return [fn(*args) for args in calls]
+    get_threads, set_threads = _blas_threads()
+    caller_threads = get_threads()
     out = [None] * len(calls)
     pipes = []  # pipe ends open in this process
     workers = []  # (pid, read end) per worker, in share order
     running = set()  # pids not yet reaped
     _in_map = True
     try:
+        set_threads(1)  # the workers inherit it through the fork
         for share in range(1, processes):
             try:
                 pipes += os.pipe()
@@ -289,6 +321,7 @@ def _map(fn, calls):
             out[share::processes] = value
     finally:
         _in_map = False
+        set_threads(caller_threads)
         for end in pipes:
             os.close(end)
         for pid in running:
@@ -640,10 +673,14 @@ def _list(kind):
                  lambda values: [kind.write(v) for v in values])
 
 
-def _mapping(noun, kind):
-    """The kind of a JSON object of kind values; the one under n is "noun n"."""
-    return _Kind(lambda value, what: {n: kind.read(v, f"{noun} {n}") for n, v in value.items()},
-                 lambda values: {n: kind.write(v) for n, v in values.items()})
+def _mapping(noun, kind, keys=None):
+    """The kind of a JSON object of kind values; the one under n is "noun n".
+    keys, when given, is the kind of the list of the object's keys."""
+    def read(value, what):
+        if keys is not None:
+            keys.read(list(value), what)
+        return {n: kind.read(v, f"{noun} {n}") for n, v in value.items()}
+    return _Kind(read, lambda values: {n: kind.write(v) for n, v in values.items()})
 
 
 def _read_report(value, what):
@@ -674,7 +711,9 @@ MANIFEST_SCHEMA = {
         _Field("chosen_kernel", _Kind(lambda v, what: kernel_kmeans.spec_from_label(
             _LABEL.read(v, what)), kernel_kmeans.KernelSpec.label), "chosen_spec"),
         _Field("timings", _mapping("timing", _SECONDS), default={}),
-        _Field("variants", _mapping("variant", _record(VariantResult))),
+        # report renders the variants it knows, so another name would be dropped
+        _Field("variants", _mapping("variant", _record(VariantResult), _checked(
+            f"one or more of {list(VARIANTS)}", lambda v: v and set(v) <= set(VARIANTS)))),
         _Field("grid", _list(_record(GridCell)), "grid_cells", default=[]),
     ),
     GridCell: (

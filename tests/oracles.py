@@ -28,6 +28,12 @@
 - expr_kernel_matrix: the kernel values as whole-array expressions, each
   step a new array; kernel_kmeans.kernel_matrix works in place and must
   return the same bytes.
+- plain_kmeans: Lloyd's algorithm on explicit centroids, with the same
+  tie and empty-cluster repair rules; kernel k-means with a linear kernel
+  must settle on the same assignment (acceptance criterion 3).
+- quad_map: the explicit feature map of the degree-2 polynomial kernel
+  with c = 0; kernel k-means's implicit centroid distances under that
+  kernel must equal the explicit ones.
 
 The rank-AUC-against-trapezoid-AUC check stays in the package itself:
 metrics.roc_auc raises when the two routes disagree.
@@ -390,3 +396,44 @@ def loop_fit(vectors, k, spec, seed=0):
     assignment, sizes, pair_sums, obj = best
     return kk.ClusterModel(spec=spec, k=k, vectors=vectors, assignment=assignment,
                            sizes=sizes, pair_sums=pair_sums, objective=obj)
+
+
+def plain_kmeans(X, k, init_assignment, max_iter=300):
+    """Explicit-centroid Lloyd with the same tie and repair rules: the
+    assignment it settles on and its inertia."""
+    assignment = init_assignment.copy()
+    cents = None
+    for _ in range(max_iter):
+        sizes = np.bincount(assignment, minlength=k)
+        if np.any(sizes == 0):
+            cents = np.vstack(
+                [X[assignment == c].mean(axis=0) if sizes[c] else np.zeros(X.shape[1])
+                 for c in range(k)]
+            )
+            dist_own = ((X - cents[assignment]) ** 2).sum(axis=1)
+            for c in range(k):
+                if sizes[c] > 0:
+                    continue
+                movable = sizes[assignment] >= 2
+                worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
+                sizes[assignment[worst]] -= 1
+                assignment[worst] = c
+                sizes[c] = 1
+        cents = np.vstack([X[assignment == c].mean(axis=0) for c in range(k)])
+        d = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        new = np.argmin(d, axis=1)
+        if np.array_equal(new, assignment):
+            break
+        assignment = new
+    inertia = float(((X - cents[assignment]) ** 2).sum())
+    return assignment, inertia
+
+
+def quad_map(X):
+    """The explicit feature map of the degree-2 polynomial kernel with c = 0."""
+    n, p = X.shape
+    cols = [X[:, i] * X[:, i] for i in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            cols.append(np.sqrt(2.0) * X[:, i] * X[:, j])
+    return np.stack(cols, axis=1)

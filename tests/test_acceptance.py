@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exact_shapley_oracle, fresh_loss_and_grads, net_config, plain_batch
+from oracles import (exact_shapley_oracle, fresh_loss_and_grads, net_config, plain_batch,
+                     plain_kmeans, quad_map)
 from shapgate import attribution, gbm, network, pipeline
 from shapgate import kernel_kmeans as kk
 
@@ -140,45 +141,6 @@ def test_criterion_02_tree_shap_matches_exact_oracle():
 
 # ------------------------------------------------------------- criterion 3
 
-def _plain_kmeans(X, k, init_assignment, max_iter=300):
-    """Explicit-centroid Lloyd with the same tie and repair rules. Oracle."""
-    assignment = init_assignment.copy()
-    cents = None
-    for _ in range(max_iter):
-        sizes = np.bincount(assignment, minlength=k)
-        if np.any(sizes == 0):
-            cents = np.vstack(
-                [X[assignment == c].mean(axis=0) if sizes[c] else np.zeros(X.shape[1])
-                 for c in range(k)]
-            )
-            dist_own = ((X - cents[assignment]) ** 2).sum(axis=1)
-            for c in range(k):
-                if sizes[c] > 0:
-                    continue
-                movable = sizes[assignment] >= 2
-                worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
-                sizes[assignment[worst]] -= 1
-                assignment[worst] = c
-                sizes[c] = 1
-        cents = np.vstack([X[assignment == c].mean(axis=0) for c in range(k)])
-        d = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        new = np.argmin(d, axis=1)
-        if np.array_equal(new, assignment):
-            break
-        assignment = new
-    return assignment
-
-
-def _quad_map(X):
-    # explicit feature map of the c=0 degree-2 polynomial kernel
-    n, p = X.shape
-    cols = [X[:, i] * X[:, i] for i in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            cols.append(np.sqrt(2.0) * X[:, i] * X[:, j])
-    return np.stack(cols, axis=1)
-
-
 def test_criterion_03_kernel_kmeans_correctness():
     """Linear fit == plain Lloyd oracle; objective monotone; poly-2 map exact."""
     rng = np.random.default_rng(303)
@@ -193,7 +155,7 @@ def test_criterion_03_kernel_kmeans_correctness():
         init = rng.integers(0, k, size=n)
         K = kk.kernel_matrix(linear, X)
         assignment = kk._lloyd(K, np.diag(K), k, init, kk.MAX_ITER, {})[0]
-        assert np.array_equal(assignment, _plain_kmeans(X, k, init))
+        assert np.array_equal(assignment, plain_kmeans(X, k, init)[0])
 
     specs = [
         linear,
@@ -220,7 +182,7 @@ def test_criterion_03_kernel_kmeans_correctness():
         p = int(rng.integers(2, 5))
         X = rng.normal(size=(30, p))
         model = kk.fit(X, k=3, spec=poly2, seed=trial)
-        mapped = _quad_map(X)
+        mapped = quad_map(X)
         dist = kk._centroid_dist2(model, X)
         assert np.all(dist >= -1e-9)
         for c in range(3):
@@ -409,8 +371,8 @@ def test_criterion_09_metric_identities(battery):
 def test_criterion_10_rerun_reproduces_metric_csvs(battery, tmp_path, monkeypatch):
     """A fresh run with the same config and seed emits byte-identical CSVs.
     The fresh run sees one usable core and so works in one process, and the
-    battery's on as many as the host's cores and BLAS threads allow; where
-    those are more than one, this also compares process counts."""
+    battery's on one process per usable core of the host, one BLAS thread
+    each; where those are more than one, this also compares process counts."""
     info = battery["diabetes"]
     config = pipeline.ExperimentConfig(
         dataset="diabetes", master_seed=0, n_seeds=BATTERY_SEEDS

@@ -290,6 +290,10 @@ def _setter(*path):
     return lambda run, value: _set_at(run, path, value)
 
 
+def _rename_full(run, value):
+    run["variants"] = {value: run["variants"]["full"]}
+
+
 def _set_every_metric_of_two_runs(run, value):
     run["variants"]["full"]["metrics"] = dict.fromkeys(metrics.REPORTED, value)
     return [run, run]
@@ -327,6 +331,9 @@ NAN, INF = float("nan"), float("inf")
     (_setter("grid", 0, "k"), NAN, "grid k"),
     (_setter("grid", 0, "kernel"), "rbf_gx", "grid kernel"),
     (_setter("variants", "full", "error"), {"a": 1}, "error"),
+    # report renders only the variants it knows
+    (_rename_full, "ful", "variants ['ful'] is not one or more of"),
+    (_setter("variants"), {}, "variants [] is not one or more of"),
     # the median of two 1.7e308s overflows to inf
     (_set_every_metric_of_two_runs, 1.7e308, "metric"),
 ], ids=["dataset-path", "dataset-int", "metric-str", "metric-null", "metric-bool",
@@ -334,7 +341,8 @@ NAN, INF = float("nan"), float("inf")
         "train-seconds-neg-inf", "timing-str", "timing-nan", "timing-inf", "grid-mean-f1-str",
         "grid-mean-f1-nan", "grid-mean-f1-inf", "fold-f1-nan", "fold-f1-str", "master-seed-nan",
         "chosen-k-inf", "count-float", "count-negative", "count-bool", "count-str", "grid-k-nan",
-        "grid-kernel-not-a-label", "error-not-a-string", "two-runs-metrics-overflow-median"])
+        "grid-kernel-not-a-label", "error-not-a-string", "variant-not-a-name", "no-variant",
+        "two-runs-metrics-overflow-median"])
 def test_report_of_a_manifest_with_bad_values_exits_2(capsys, tmp_path, corrupt, value, message):
     run = _manifest_run()
     runs = corrupt(run, value) or [run]
@@ -655,8 +663,6 @@ def test_run_outputs_do_not_depend_on_the_process_count(capsys, tmp_path, heart_
 
     monkeypatch.setattr(shapgate.network, "train", diverge_at_k3)
     monkeypatch.setattr(os, "fork", counted_fork)
-    # one BLAS thread a process, so the usable cores set the process count
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**FAST, "n_seeds": 3,
                                   "grid": [["linear", 2], ["rbf_g0.1", 3], ["poly_d2_c1", 4]]}))
@@ -697,9 +703,8 @@ def test_a_dead_worker_exits_4_and_no_process_outlives_it(capsys, tmp_path, hear
             os.kill(os.getpid(), signal.SIGKILL)
         return real_cell(*args)
 
-    # two processes: two usable cores, one BLAS thread each
+    # two processes: two usable cores
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(pipeline, "_grid_cell", die_outside_the_caller)
     path = tmp_path / "two_cells.json"
     path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3]]}))
@@ -735,7 +740,6 @@ def test_a_dead_worker_ends_the_map_before_the_callers_next_call(capsys, tmp_pat
         return cell
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(pipeline, "_grid_cell", die_outside_the_caller)
     path = tmp_path / "three_cells.json"
     path.write_text(json.dumps({**FAST, "grid": [["linear", 2], ["linear", 3], ["linear", 4]]}))
@@ -755,8 +759,7 @@ import json
 import os
 import sys
 
-# two processes: one BLAS thread, set before numpy loads, and two usable cores
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# two processes: two usable cores, with OpenBLAS at its own thread count
 os.sched_getaffinity = lambda pid: {0, 1}
 forks = []
 real_fork = os.fork

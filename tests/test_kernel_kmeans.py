@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expr_kernel_matrix, loop_fit, loop_lloyd, loop_seed_assignment, traced_peak
+from oracles import (expr_kernel_matrix, loop_fit, loop_lloyd, loop_seed_assignment, plain_kmeans,
+                     quad_map, traced_peak)
 
 from shapgate import kernel_kmeans as kk
 from shapgate import pipeline
@@ -20,36 +21,6 @@ def blobs(rng, n_per=30, offset=10.0, p=3):
     return X[perm], truth[perm]
 
 
-def plain_kmeans(X, k, init_assignment, max_iter=300):
-    """Explicit-centroid Lloyd with the same tie and repair rules. Test oracle."""
-    assignment = init_assignment.copy()
-    cents = None
-    for _ in range(max_iter):
-        sizes = np.bincount(assignment, minlength=k)
-        if np.any(sizes == 0):
-            cents = np.vstack(
-                [X[assignment == c].mean(axis=0) if sizes[c] else np.zeros(X.shape[1])
-                 for c in range(k)]
-            )
-            dist_own = ((X - cents[assignment]) ** 2).sum(axis=1)
-            for c in range(k):
-                if sizes[c] > 0:
-                    continue
-                movable = sizes[assignment] >= 2
-                worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
-                sizes[assignment[worst]] -= 1
-                assignment[worst] = c
-                sizes[c] = 1
-        cents = np.vstack([X[assignment == c].mean(axis=0) for c in range(k)])
-        d = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        new = np.argmin(d, axis=1)
-        if np.array_equal(new, assignment):
-            break
-        assignment = new
-    inertia = float(((X - cents[assignment]) ** 2).sum())
-    return assignment, inertia
-
-
 def lloyd_objectives(K, k, start):
     """Objective after 1, 2, ... Lloyd steps from start, up to convergence."""
     objectives, previous = [], None
@@ -60,16 +31,6 @@ def lloyd_objectives(K, k, start):
             break
         previous = assignment
     return objectives
-
-
-def quad_map(X):
-    # explicit feature map of the c=0 degree-2 polynomial kernel
-    n, p = X.shape
-    cols = [X[:, i] * X[:, i] for i in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            cols.append(np.sqrt(2.0) * X[:, i] * X[:, j])
-    return np.stack(cols, axis=1)
 
 
 def test_kernel_diag_and_matrix_hand_values():

@@ -37,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shapgate"
 
 # Fields nothing reads yet, kept for the manifest diagnostics of ROADMAP
-# item 3. The set can only shrink: the guard fails when an entry is deleted
+# item 4. The set can only shrink: the guard fails when an entry is deleted
 # or gains a reader, and the entry then leaves the set.
 RESERVED_FOR_MANIFEST = {
     "PreparedData.n_imputed",

@@ -690,49 +690,108 @@ def test_child_seed_deterministic_and_tag_sensitive():
 
 # ------------------------------------------------------------ processes
 
-@pytest.mark.parametrize("cores, blas_threads, processes", [
-    (1, "1", 1),     # one core
-    (2, None, 1),    # OpenBLAS's default: a thread per core
-    (2, "2", 1),
-    (8, "2", 4),
-    (8, "3", 2),
-    (8, "16", 1),
-    (8, "0", 1),     # not a thread count: the default
-    (8, "x", 1),
+@pytest.mark.parametrize("cores, blas_threads", [
+    (1, "1"), (2, None), (2, "2"), (8, "2"), (8, "3"), (8, "16"), (8, "0"), (8, "x"),
 ])
-def test_processes_times_blas_threads_stay_within_the_cores(cores, blas_threads, processes,
-                                                            monkeypatch):
+def test_process_count_is_the_usable_cores_whatever_the_thread_variables_say(
+        cores, blas_threads, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    if blas_threads is not None:
-        monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
-    assert pipeline._processes() == processes
-    if blas_threads is not None:
-        # OpenBLAS reads its own variable first
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert pipeline._processes() == cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if blas_threads is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, blas_threads)
+    assert pipeline._processes() == cores
 
 
-def test_default_blas_threads_run_in_this_process(diabetes_path, monkeypatch):
+def test_the_package_reads_no_blas_thread_variable():
+    # the process count is worked out by the package, never chosen by a variable
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant)}
+        assert not names & {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}, path.name
+
+
+def test_numpys_openblas_has_a_thread_setter():
+    # a renamed symbol would send every map back to one process
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built with {blas}, not OpenBLAS")
+    assert pipeline._blas_threads() is not None
+
+
+def test_a_map_runs_in_this_process_where_no_thread_setter_is_found(monkeypatch):
     def no_fork():
-        raise AssertionError("a worker was forked beside a thread per core")
+        raise AssertionError("a worker was forked beside a BLAS of unknown threads")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(pipeline, "_blas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert pipeline._processes() == 1
+    assert pipeline._map(lambda i: 2 * i, [(i,) for i in range(4)]) == [0, 2, 4, 6]
+
+
+@pytest.fixture
+def get_threads():
+    """The OpenBLAS thread count getter; the caller runs 3 threads during
+    the test and its own count again after it."""
+    if pipeline._blas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    get, set_threads = pipeline._blas_threads()
+    before = get()
+    set_threads(3)
+    yield get
+    set_threads(before)
+
+
+def test_every_process_of_a_map_runs_one_blas_thread(get_threads, monkeypatch):
+    deal_over(monkeypatch, 2)
+    reports = pipeline._map(lambda i: (os.getpid(), get_threads()), [(i,) for i in range(4)])
+    assert len({pid for pid, _ in reports}) == 2
+    assert [threads for _, threads in reports] == [1, 1, 1, 1]
+    assert get_threads() == 3
+    assert_no_child()
+
+
+def test_a_map_gives_the_callers_thread_count_back_when_a_worker_raises(get_threads,
+                                                                       monkeypatch):
+    caller = os.getpid()
+
+    def raise_in_the_worker(i):
+        if os.getpid() != caller:
+            raise ValueError("raised in the worker")
+        return i
+
+    deal_over(monkeypatch, 2)
+    with pytest.raises(ValueError, match="raised in the worker"):
+        pipeline._map(raise_in_the_worker, [(i,) for i in range(4)])
+    assert get_threads() == 3
+    assert_no_child()
+
+
+def test_a_run_with_no_thread_variable_is_dealt_over_two_cores(diabetes_path, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setattr(os, "fork", no_fork)
-    # two grid cells and four variants, each of which two processes would share
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # two grid cells and four variants: one fork for each of the two maps
     record = pipeline.run_experiment(small_config(max_epochs=5), diabetes_path)
     assert len(record.grid_cells) == 2 and len(record.variants) == 4
+    assert len(forks) == 2
+    assert_no_child()
 
 
 def deal_over(monkeypatch, processes):
-    """Deal maps over `processes` processes: that many usable cores, one
-    BLAS thread each."""
+    """Deal maps over `processes` processes: that many usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)),
                         raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 def test_a_fork_that_fails_raises_worker_died_error(monkeypatch):
@@ -843,9 +902,8 @@ def test_a_worker_exception_reaches_the_caller_and_no_worker_outlives_the_run(
             raise RuntimeError("not a shapgate error")
         return real_train(fit_batch, y_fit, val_batch, y_val, config)
 
-    # two processes: two usable cores, one BLAS thread each
+    # two processes: two usable cores
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(network, "train", break_at_k3)
     config = small_config(max_epochs=5)
     with pytest.raises(RuntimeError, match="not a shapgate error") as raised:
